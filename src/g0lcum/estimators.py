@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import log_ndtr as _log_ndtr
+from scipy.special import psi as _psi
 
 from . import specfun
 from .model import LogCumulants, ModelKind, Sample
@@ -51,6 +52,12 @@ class FailureReason(enum.Enum):
     DEGENERATE_K2 = "DegenerateK2"
 
 
+# Per-estimate outcome codes of estimate_from_moments: code 0 is success and
+# code k > 0 failed for FAILURE_CODES[k].
+FAILURE_CODES = (None, *FailureReason)
+_CODE = {reason: code for code, reason in enumerate(FAILURE_CODES)}
+
+
 @dataclass(frozen=True)
 class EtaEstimate:
     eta_hat: float
@@ -77,9 +84,25 @@ def eta_hat(lc: LogCumulants, looks: float, model: ModelKind) -> EtaEstimate:
     return EtaEstimate(eta_hat=model.c_alpha * lc.k2 - specfun.trigamma(looks))
 
 
+def _eta_variance(k2, m4, n, c_alpha):
+    """Estimated variance of eta_hat; scalars or arrays."""
+    return (c_alpha * c_alpha / n) * (m4 - (n - 3.0) / (n - 1.0) * k2 * k2)
+
+
 def _sigma_from_log_moments(k2: float, m4: float, n: int, c_alpha: float) -> float:
-    var = (c_alpha * c_alpha / n) * (m4 - (n - 3.0) / (n - 1.0) * k2 * k2)
+    var = _eta_variance(k2, m4, n, c_alpha)
     return math.sqrt(var) if var > 0.0 else 0.0
+
+
+def _deep_tail_mean(eta_hat, sigma):
+    """Posterior mean of eta for eta_hat / sigma < -8, where the direct form
+    cancels catastrophically: t + pdf/cdf ratio equals the continued
+    fraction 1/(s+2/(s+3/...)) with s = -t. Scalars or arrays."""
+    s = -(eta_hat / sigma)
+    acc = 0.0
+    for k in range(60, 1, -1):
+        acc = k / (s + acc)
+    return sigma / (s + acc)
 
 
 def eta_sigma(s: Sample, model: ModelKind) -> float:
@@ -114,13 +137,7 @@ def bayes_correct_eta(eta: EtaEstimate) -> EtaEstimate:
     if t >= -8.0:
         corrected = eta.eta_hat + sigma * math.exp(-0.5 * t * t - _LOG_SQRT_2PI - _log_ndtr(t))
     else:
-        # Deep negative tail: the direct form cancels catastrophically, but
-        # t + pdf/cdf ratio equals the continued fraction 1/(s+2/(s+3/...)).
-        s = -t
-        acc = 0.0
-        for k in range(60, 1, -1):
-            acc = k / (s + acc)
-        corrected = sigma / (s + acc)
+        corrected = _deep_tail_mean(eta.eta_hat, sigma)
     return replace(eta, eta_m=corrected)
 
 
@@ -218,3 +235,93 @@ def estimate_alpha(s: Sample, looks: float, model: ModelKind, kind: EstimatorKin
         cumulants=LogCumulants(k1=k1, k2=k2, n=n),
         eta=eta,
     )
+
+
+def _bayes_correct_array(eta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """bayes_correct_eta over arrays of eta_hat and sigma."""
+    eta_m = np.maximum(eta, 1e-12)
+    spread = sigma > 0.0
+    t = np.full(eta.shape, -np.inf)
+    t[spread] = eta[spread] / sigma[spread]
+    direct = t >= -8.0
+    td = t[direct]
+    eta_m[direct] = eta[direct] + sigma[direct] * np.exp(
+        -0.5 * td * td - _LOG_SQRT_2PI - _log_ndtr(td))
+    tail = spread & ~direct
+    eta_m[tail] = _deep_tail_mean(eta[tail], sigma[tail])
+    return eta_m
+
+
+def _invert_each(value: np.ndarray, index, kind: EstimatorKind, alpha_floor: float,
+                 alpha: np.ndarray, code: np.ndarray) -> None:
+    """Scalar invert_eta on value[i] for each i in index, into alpha and code."""
+    for i in index:
+        a, reason = invert_eta(float(value[i]), kind, alpha_floor)
+        if reason is None:
+            alpha[i] = a
+        else:
+            code[i] = _CODE[reason]
+
+
+def _invert_polynomial_array(value: np.ndarray, kind: EstimatorKind, alpha_floor: float,
+                             alpha: np.ndarray, code: np.ndarray) -> None:
+    """The polynomial branch of invert_eta over an array of eta values, into
+    alpha and code: every companion matrix goes to one stacked eigenvalue
+    solve. The floor is not applied."""
+    code[value < 0.0] = _CODE[FailureReason.NO_REAL_ROOT_OR_MULTIPLE]
+    code[value == 0.0] = _CODE[FailureReason.DEGENERATE_K2]
+    solve = np.flatnonzero(code == 0)
+    try:
+        roots = np.linalg.eigvals(specfun.roughness_companions(value[solve]))
+    except np.linalg.LinAlgError:
+        # Some matrix did not converge and the stack does not say which:
+        # the scalar solve classifies each one on its own.
+        _invert_each(value, solve, kind, alpha_floor, alpha, code)
+        return
+    real = np.abs(roots.imag) <= specfun.REAL_ROOT_IM_TOL * np.maximum(1.0, np.abs(roots.real))
+    negative = real & (roots.real < 0.0)
+    single = np.count_nonzero(negative, axis=1) == 1
+    alpha[solve[single]] = roots.real[single][negative[single]]
+    code[solve[~single]] = _CODE[FailureReason.NO_REAL_ROOT_OR_MULTIPLE]
+
+
+def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
+                          kind: EstimatorKind, alpha_floor: float = -15.0):
+    """Array form of estimate_alpha for many samples at once, from 1-D
+    arrays of each sample's size n and log moments: mean k1, and second and
+    fourth central moments k2 and m4 (divisor n). Returns arrays (alpha_hat,
+    gamma_hat, code): NaN estimates where a sample failed, and code 0 on
+    success or the index of its FailureReason in FAILURE_CODES.
+
+    fmolc and the polynomial estimators run on whole arrays, the latter
+    through one stacked companion-matrix eigenvalue solve; the traditional
+    estimator keeps the bracketed solver, one sample at a time."""
+    if looks < 1.0:
+        raise ValueError(f"looks must be >= 1, got {looks!r}")
+    n = np.asarray(n)
+    k1, k2, m4 = (np.asarray(x, dtype=float) for x in (k1, k2, m4))
+    eta = model.c_alpha * k2 - specfun.trigamma(looks)
+    alpha = np.full(eta.shape, np.nan)
+    code = np.zeros(eta.shape, dtype=np.int8)
+    if kind is EstimatorKind.TRADITIONAL:
+        _invert_each(eta, range(eta.size), kind, alpha_floor, alpha, code)
+    elif kind is EstimatorKind.FMOLC_SIMPLE:
+        code[eta == 0.0] = _CODE[FailureReason.DEGENERATE_K2]
+        alpha[code == 0] = -1.0 / np.sqrt(np.abs(eta[code == 0]))
+    else:
+        if kind is EstimatorKind.FAST_POLY_CORRECTED:
+            # Too few points to estimate the spread: the point-estimate
+            # posterior, as in estimate_alpha.
+            with np.errstate(divide="ignore", invalid="ignore"):
+                var = np.where(n >= 4, _eta_variance(k2, m4, n, model.c_alpha), 0.0)
+            sigma = np.sqrt(np.maximum(var, 0.0))
+            eta = _bayes_correct_array(eta, sigma)
+        _invert_polynomial_array(eta, kind, alpha_floor, alpha, code)
+    out_of_range = (code == 0) & ~((alpha_floor <= alpha) & (alpha < 0.0))
+    code[out_of_range] = _CODE[FailureReason.ROOT_OUT_OF_RANGE]
+    ok = code == 0
+    alpha[~ok] = np.nan
+    gamma = np.full(eta.shape, np.nan)
+    gamma[ok] = looks * np.exp(model.k1_scale * k1[ok] - specfun.digamma(looks)
+                               + _psi(-alpha[ok]))
+    return alpha, gamma, code

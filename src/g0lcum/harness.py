@@ -7,6 +7,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
@@ -19,6 +20,15 @@ from .model import G0Params, ModelKind, sample_g0, unit_mean_gamma
 _DEFAULT_ALPHAS = (-1.5, -3.0, -5.0)
 _DEFAULT_LOOKS = (1.0, 3.0, 8.0)
 _DEFAULT_SIZES = (9, 25, 49, 121, 1000)
+_SWEEP_FIELDS = ("alphas", "looks", "sizes", "models", "estimators")
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -34,6 +44,23 @@ class MCConfig:
     alpha_floor: float = -15.0
 
     def __post_init__(self):
+        for name in _SWEEP_FIELDS:
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list")
+        if not all(_is_real(x) for x in (*self.alphas, *self.looks, self.alpha_floor)):
+            raise ValueError("alphas, looks and alpha_floor must be numbers")
+        if not all(_is_int(n) for n in self.sizes):
+            raise ValueError("sizes must be integers")
+        if not all(isinstance(m, ModelKind) for m in self.models):
+            raise ValueError("models must be ModelKind members")
+        if not all(isinstance(e, EstimatorKind) for e in self.estimators):
+            raise ValueError("estimators must be EstimatorKind members")
+        if not _is_int(self.trials):
+            raise ValueError("trials must be an integer")
+        if not (_is_int(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be a nonnegative integer")
+        object.__setattr__(self, "trials", int(self.trials))
+        object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
         object.__setattr__(self, "looks", tuple(float(l) for l in self.looks))
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
@@ -62,6 +89,10 @@ class MCConfig:
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        for key in ("models", "estimators"):
+            names = raw.get(key, [])
+            if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+                raise ValueError(f"{key} must be a list of names")
         kwargs = {}
         for key in ("alphas", "looks", "sizes", "trials", "seed", "alpha_floor"):
             if key in raw:

@@ -10,9 +10,18 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimators import EstimatorKind, Status, estimate_alpha
-from .model import ModelKind, Sample
+from .estimators import FAILURE_CODES, EstimatorKind, estimate_from_moments
+from .model import ModelKind
+
+# Windows per chunk of the map kernel. Each chunk holds copies of its
+# windows and a stack of 7x7 companion matrices; a row wider than this is
+# cut into column spans, so the chunk size, not the raster size, sets the
+# kernel's working memory.
+_CHUNK_WINDOWS = 512
+# Outcome code of a window with fewer than 4 usable pixels.
+_SPARSE = -1
 
 
 class RasterFormatError(Exception):
@@ -46,15 +55,25 @@ class Raster:
 
 @dataclass(frozen=True)
 class RoughnessMap:
+    """Per-pixel estimates (NaN where absent). ``failures`` counts failed
+    windows by FailureReason value; ``sparse_windows`` counts windows with
+    fewer than 4 usable pixels, which were never estimated."""
+
     width: int
     height: int
     alpha: np.ndarray
     gamma: np.ndarray
-    n_failures: int
+    failures: dict
+    sparse_windows: int
     elapsed_ns: int
     window: int
     estimator: EstimatorKind
     alpha_floor: float
+
+    @property
+    def n_failures(self) -> int:
+        """Interior pixels without an estimate: failed plus sparse windows."""
+        return sum(self.failures.values()) + self.sparse_windows
 
 
 def _pgm_tokens(data: bytes):
@@ -161,29 +180,66 @@ def read_raster(path, fmt: str, model: ModelKind, looks: float) -> Raster:
     return Raster(width=width, height=height, pixels=values, model=model, looks=looks)
 
 
+def _window_moments(win: np.ndarray) -> tuple:
+    """Usable count n and log moments k1, k2, m4 of each row of ``win`` (the
+    log pixels of one window per row, NaN where a pixel is not positive), by
+    the divisor-n, center-then-square formulas of estimate_alpha; k1, k2, m4
+    are NaN where n < 4. Rows are grouped by n, and the usable logs of a
+    partly usable row are packed to the front of a copy, so each sum adds the
+    same values in the same order, and gives the same bits, as estimate_alpha
+    on that window. ``win`` is only read, so it may be a strided view."""
+    usable = ~np.isnan(win)
+    n = np.count_nonzero(usable, axis=1)
+    partial = np.flatnonzero((n >= 4) & (n < win.shape[1]))
+    # Stable sort keeps the usable logs in window order.
+    order = np.argsort(~usable[partial], axis=1, kind="stable")
+    packed = np.take_along_axis(win[partial], order, axis=1)
+    k1, k2, m4 = (np.full(n.shape, np.nan) for _ in range(3))
+    for size in np.unique(n[n >= 4]).tolist():
+        if size == win.shape[1]:
+            rows = np.flatnonzero(n == size)
+            d = win[rows]
+        else:
+            group = np.flatnonzero(n[partial] == size)
+            rows = partial[group]
+            d = packed[group, :size]
+        k1[rows] = d.sum(axis=1) / size
+        d -= k1[rows, np.newaxis]
+        d *= d
+        k2[rows] = d.sum(axis=1) / size
+        d *= d
+        m4[rows] = d.sum(axis=1) / size
+    return n, k1, k2, m4
+
+
 def _map_rows(args) -> tuple:
-    grid, model, looks, window, kind, alpha_floor, row_lo, row_hi = args
-    half = window // 2
-    width = grid.shape[1]
-    n_cols = width - 2 * half
-    alpha = np.full((row_hi - row_lo, n_cols), np.nan)
-    gamma = np.full((row_hi - row_lo, n_cols), np.nan)
-    failures = 0
-    for i in range(row_lo, row_hi):
-        for j in range(half, width - half):
-            win = grid[i - half:i + half + 1, j - half:j + half + 1].ravel()
-            usable = win[win > 0.0]
-            if usable.size < 4:
-                failures += 1
-                continue
-            res = estimate_alpha(Sample(values=usable, model=model), looks,
-                                 model, kind, alpha_floor)
-            if res.status is Status.OK:
-                alpha[i - row_lo, j - half] = res.alpha_hat
-                gamma[i - row_lo, j - half] = res.gamma_hat
-            else:
-                failures += 1
-    return alpha, gamma, failures
+    """Estimates and outcome codes for every full window centered in one band
+    of rows. ``logs`` holds the band plus the window's halo rows above and
+    below. Chunks are whole rows, or column spans of one row when a row has
+    more than _CHUNK_WINDOWS windows."""
+    logs, model, looks, window, kind, alpha_floor = args
+    n_rows = logs.shape[0] - window + 1
+    n_cols = logs.shape[1] - window + 1
+    alpha = np.full((n_rows, n_cols), np.nan)
+    gamma = np.full((n_rows, n_cols), np.nan)
+    code = np.full((n_rows, n_cols), _SPARSE, dtype=np.int8)
+    row_step = max(1, _CHUNK_WINDOWS // n_cols)
+    col_step = min(n_cols, _CHUNK_WINDOWS)
+    for r0 in range(0, n_rows, row_step):
+        r1 = min(n_rows, r0 + row_step)
+        for c0 in range(0, n_cols, col_step):
+            c1 = min(n_cols, c0 + col_step)
+            win = sliding_window_view(logs[r0:r1 + window - 1, c0:c1 + window - 1],
+                                      (window, window))
+            n, k1, k2, m4 = _window_moments(win.reshape(-1, window * window))
+            est = n >= 4
+            a, g, c = estimate_from_moments(n[est], k1[est], k2[est], m4[est],
+                                            looks, model, kind, alpha_floor)
+            est = est.reshape(r1 - r0, c1 - c0)
+            alpha[r0:r1, c0:c1][est] = a
+            gamma[r0:r1, c0:c1][est] = g
+            code[r0:r1, c0:c1][est] = c
+    return alpha, gamma, code
 
 
 def roughness_map(r: Raster, window: int, kind: EstimatorKind,
@@ -191,7 +247,11 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     """Per-pixel roughness over every pixel whose full window fits in the
     raster; the border frame stays absent. Zero pixels are dropped from each
     window, and windows with fewer than 4 usable pixels count as failures.
-    Output is identical for any parallelism degree."""
+
+    Logs are taken once over the whole raster; each worker gets one band of
+    rows plus its halo and works through it in chunks of rows, so every
+    estimate depends on its own window only and the output is identical for
+    any parallelism degree."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
     if window > min(r.width, r.height):
@@ -202,6 +262,7 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     t0 = time.perf_counter_ns()
     half = window // 2
     grid = r.grid()
+    logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
     row_lo, row_hi = half, r.height - half
     n_rows = row_hi - row_lo
     alpha = np.full((r.height, r.width), np.nan)
@@ -211,22 +272,26 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     else:
         bounds = np.linspace(row_lo, row_hi, min(parallelism, n_rows) + 1).astype(int)
         blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    work = [(grid, r.model, r.looks, window, kind, alpha_floor, lo, hi)
+    work = [(logs[lo - half:hi + half], r.model, r.looks, window, kind, alpha_floor)
             for lo, hi in blocks]
     if len(work) == 1:
         parts = [_map_rows(work[0])]
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             parts = list(pool.map(_map_rows, work))
-    failures = 0
-    for (lo, hi), (a_blk, g_blk, fails) in zip(blocks, parts):
+    counts = np.zeros(len(FAILURE_CODES), dtype=np.int64)
+    sparse = 0
+    for (lo, hi), (a_blk, g_blk, code) in zip(blocks, parts):
         alpha[lo:hi, half:r.width - half] = a_blk
         gamma[lo:hi, half:r.width - half] = g_blk
-        failures += fails
+        counts += np.bincount(code[code > 0], minlength=len(FAILURE_CODES))
+        sparse += int(np.count_nonzero(code == _SPARSE))
     elapsed = time.perf_counter_ns() - t0
+    failures = {reason.value: int(counts[c]) for c, reason in enumerate(FAILURE_CODES)
+                if reason is not None}
     return RoughnessMap(width=r.width, height=r.height, alpha=alpha, gamma=gamma,
-                        n_failures=failures, elapsed_ns=elapsed, window=window,
-                        estimator=kind, alpha_floor=alpha_floor)
+                        failures=failures, sparse_windows=sparse, elapsed_ns=elapsed,
+                        window=window, estimator=kind, alpha_floor=alpha_floor)
 
 
 def write_map(m: RoughnessMap, path, fmt: str) -> None:
@@ -236,10 +301,11 @@ def write_map(m: RoughnessMap, path, fmt: str) -> None:
     if fmt == "csv":
         filled = np.where(np.isnan(m.alpha), 0.0, m.alpha)
         with open(path, "w") as fh:
-            for row in filled:
-                fh.write(",".join(repr(float(v)) for v in row))
+            for row in filled.tolist():
+                fh.write(",".join(map(repr, row)))
                 fh.write("\n")
-        meta = {"n_failures": m.n_failures, "elapsed_ns": m.elapsed_ns,
+        meta = {"n_failures": m.n_failures, "failures": m.failures,
+                "sparse_windows": m.sparse_windows, "elapsed_ns": m.elapsed_ns,
                 "window": m.window, "estimator": m.estimator.value}
         with open(str(path) + ".meta.json", "w") as fh:
             json.dump(meta, fh)
@@ -248,8 +314,8 @@ def write_map(m: RoughnessMap, path, fmt: str) -> None:
         scaled = np.where(np.isnan(m.alpha), 0.0, np.clip(scaled, 0.0, 255.0))
         ints = np.rint(scaled).astype(int)
         lines = [f"P2\n{m.width} {m.height}\n255"]
-        for row in ints:
-            lines.append(" ".join(str(v) for v in row))
+        for row in ints.tolist():
+            lines.append(" ".join(map(str, row)))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + "\n")
     else:

@@ -165,13 +165,17 @@ def trigamma_inverse_bracketed(eta: float, tol: float = 1e-10,
     return float(root)
 
 
+# Relative size of an imaginary part below which a computed root counts as real.
+REAL_ROOT_IM_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class PolyRoots:
     """Root set of the degree-7 roughness polynomial."""
 
     roots: tuple
 
-    def real_roots(self, im_tol: float = 1e-9) -> list:
+    def real_roots(self, im_tol: float = REAL_ROOT_IM_TOL) -> list:
         """Roots whose imaginary part is negligible next to the real part;
         eigenvalue noise makes exact-zero tests meaningless."""
         out = []
@@ -192,6 +196,18 @@ _COMPANION_TEMPLATE[1:, :-1] = np.eye(6)
 _COMPANION_TEMPLATE.setflags(write=False)
 
 
+def _set_monic_tail(last, inv) -> None:
+    """Write the companion matrices' last column, the negated monic
+    coefficients z^0 .. z^6 (division by 210*eta_m), into ``last`` (shape
+    (7,) or (7, P)) from inv = 1/eta_m; the zero coefficients stay as they
+    are."""
+    last[0] = -inv / 42.0
+    last[2] = inv / 30.0
+    last[4] = -inv / 6.0
+    last[5] = 0.5 * inv
+    last[6] = -inv
+
+
 def solve_roughness_polynomial(eta_m: float) -> PolyRoots:
     """All seven roots of the roughness polynomial, as eigenvalues of the
     companion matrix of its monic normalization."""
@@ -199,15 +215,22 @@ def solve_roughness_polynomial(eta_m: float) -> PolyRoots:
     if not math.isfinite(eta_m) or eta_m == 0.0:
         raise DegenerateLeadingCoefficientError(
             f"leading coefficient 210*eta_m degenerate for eta_m={eta_m!r}")
-    inv = 1.0 / eta_m
     comp = _COMPANION_TEMPLATE.copy(order="F")
-    # Last column = negated monic coefficients z^0 .. z^6 (division by 210*eta_m).
-    comp[:, -1] = (-inv / 42.0, 0.0, inv / 30.0, 0.0, -inv / 6.0, 0.5 * inv, -inv)
+    _set_monic_tail(comp[:, -1], 1.0 / eta_m)
     wr, wi, _, _, info = _lapack.dgeev(comp, compute_vl=0, compute_vr=0, overwrite_a=1)
     if info != 0:
         raise NoConvergenceError(f"eigenvalue iteration failed (info={info})")
     ordered = sorted((wr + 1j * wi).tolist(), key=lambda r: (r.real, r.imag))
     return PolyRoots(roots=tuple(ordered))
+
+
+def roughness_companions(eta_m: np.ndarray) -> np.ndarray:
+    """Stack (len(eta_m), 7, 7) of the companion matrices that
+    solve_roughness_polynomial builds, one per nonzero finite eta_m."""
+    inv = 1.0 / np.asarray(eta_m, dtype=float)
+    comp = np.repeat(_COMPANION_TEMPLATE[np.newaxis], inv.size, axis=0)
+    _set_monic_tail(comp[:, :, -1].T, inv)
+    return comp
 
 
 def inv_reg_incomplete_beta(u: float, a: float, b: float) -> float:

@@ -170,6 +170,18 @@ class TestExitCodes:
         assert run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
                        "--format", "csv") == 1
 
+    @pytest.mark.parametrize("config", [
+        '{"trials": "5"}', '{"trials": 1.5}', '{"alphas": 5}', '{"seed": "abc"}',
+        '{"models": "intensity"}'])
+    def test_mistyped_config_field_is_domain_error(self, tmp_path, capsys, config):
+        cfg = tmp_path / "typed.json"
+        cfg.write_text(config)
+        assert run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                       "--format", "csv") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("g0lcum: error: ") and "Traceback" not in err
+        assert "'i'" not in err
+
     def test_invalid_domain_value_is_domain_error(self, tmp_path):
         assert run_cli("sample", "--alpha", "1.0", "--looks", "2",
                        "--model", "intensity", "--n", "5", "--seed", "1",

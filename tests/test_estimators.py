@@ -10,6 +10,7 @@ import pytest
 
 from g0lcum import specfun
 from g0lcum.estimators import (
+    FAILURE_CODES,
     EstimatorKind,
     EtaEstimate,
     FailureReason,
@@ -17,6 +18,7 @@ from g0lcum.estimators import (
     Status,
     bayes_correct_eta,
     estimate_alpha,
+    estimate_from_moments,
     estimate_gamma,
     eta_hat,
     eta_sigma,
@@ -339,3 +341,32 @@ class TestEstimateAlpha:
         assert EstimatorKind.parse("poly-corrected") is EstimatorKind.FAST_POLY_CORRECTED
         with pytest.raises(ValueError):
             EstimatorKind.parse("fastest")
+
+
+class TestEstimateFromMoments:
+    @pytest.mark.parametrize("model", [I, A])
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_matches_estimate_alpha(self, model, kind):
+        # Sizes from 3 (spread degrades to the point posterior) to 121.
+        rng = np.random.default_rng(5)
+        samples = [rng.gamma(2.0, 1.0, n) / rng.gamma(rng.uniform(1.5, 6.0), 1.0, n)
+                   for n in (3, 3, 4, 5, 9, 9, 25, 25, 49, 121) * 4]
+        moments = []
+        for values in samples:
+            logs = np.log(values)
+            d2 = (logs - logs.mean()) ** 2
+            moments.append((logs.size, logs.mean(), d2.mean(), (d2 * d2).mean()))
+        n, k1, k2, m4 = (np.array(col) for col in zip(*moments))
+        alpha, gamma, code = estimate_from_moments(n, k1, k2, m4, 2.0, model, kind)
+        for i, values in enumerate(samples):
+            res = estimate_alpha(Sample(values, model), 2.0, model, kind)
+            assert FAILURE_CODES[code[i]] is res.failure
+            if res.failure is None:
+                assert alpha[i] == pytest.approx(res.alpha_hat, rel=1e-12, abs=0.0)
+                assert gamma[i] == pytest.approx(res.gamma_hat, rel=1e-12, abs=0.0)
+            else:
+                assert math.isnan(alpha[i]) and math.isnan(gamma[i])
+
+    def test_rejects_bad_looks(self):
+        with pytest.raises(ValueError, match="looks"):
+            estimate_from_moments([9], [0.0], [1.0], [3.0], 0.5, I, EstimatorKind.FMOLC_SIMPLE)

@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from g0lcum.estimators import EstimatorKind
-from g0lcum.model import G0Params, ModelKind, sample_g0, unit_mean_gamma
+from g0lcum import raster
+from g0lcum.estimators import FAILURE_CODES, EstimatorKind, FailureReason, estimate_alpha
+from g0lcum.model import G0Params, ModelKind, Sample, sample_g0, unit_mean_gamma
 from g0lcum.raster import (
     Raster,
     RasterFormatError,
@@ -195,24 +196,164 @@ class TestRoughnessMap:
             assert serial.n_failures == par.n_failures
 
 
-def manual_map(alpha_rows, window=3, floor=-15.0, failures=0) -> RoughnessMap:
+def kernel_scene(height=30, width=40, seed=11) -> np.ndarray:
+    """Heavy-tailed positive grid with a no-data patch holding windows of
+    exactly 4 and exactly 3 usable pixels, and a saturated constant block
+    whose windows drive the Bayes correction into its t < -8 branch."""
+    rng = np.random.default_rng(seed)
+    grid = rng.gamma(2.0, 1.0, (height, width)) / rng.gamma(3.0, 1.0, (height, width))
+    grid[4:16, 3:17] = 0.0
+    grid[6:8, 5:7] = rng.uniform(0.5, 2.0, (2, 2))  # the window at (6, 6) sees 4
+    grid[12, 12:14] = 1.0                           # the window at (13, 13) sees 3
+    grid[13, 12] = 3.0
+    grid[18:28, 20:33] = 7.25
+    return grid
+
+
+def kernel_band(grid, model, kind, window, looks):
+    """Per-window alpha, gamma and outcome code straight from the kernel."""
+    logs = np.full(grid.shape, np.nan)
+    np.log(grid, out=logs, where=grid > 0.0)
+    return raster._map_rows((logs, model, looks, window, kind, -15.0))
+
+
+class TestMapKernel:
+    """The array kernel against estimate_alpha on each window: same status
+    and failure reason on every pixel (no decision-boundary flips occur on
+    these scenes), estimates within 1e-12 relative."""
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_matches_scalar_estimate_per_window(self, model, kind):
+        grid, window, looks = kernel_scene(), 5, 2.0
+        alpha, gamma, code = kernel_band(grid, model, kind, window, looks)
+        sizes, deep_tail = set(), 0
+        for (i, j), c in np.ndenumerate(code):
+            win = grid[i:i + window, j:j + window].ravel()
+            usable = win[win > 0.0]
+            sizes.add(usable.size)
+            if usable.size < 4:
+                assert c == raster._SPARSE and np.isnan(alpha[i, j]), (i, j)
+                continue
+            res = estimate_alpha(Sample(usable, model), looks, model, kind)
+            assert FAILURE_CODES[c] is res.failure, (i, j)
+            if res.failure is None:
+                assert alpha[i, j] == pytest.approx(res.alpha_hat, rel=1e-12, abs=0.0)
+                assert gamma[i, j] == pytest.approx(res.gamma_hat, rel=1e-12, abs=0.0)
+            else:
+                assert np.isnan(alpha[i, j]) and np.isnan(gamma[i, j]), (i, j)
+            if res.eta.sigma:
+                deep_tail += res.eta.eta_hat / res.eta.sigma < -8.0
+        assert {3, 4} <= sizes
+        if kind is EstimatorKind.FAST_POLY_CORRECTED:
+            assert deep_tail > 0
+
+    def test_map_counts_reasons_and_sparse_windows(self):
+        grid = kernel_scene()
+        kind = EstimatorKind.FAST_POLY
+        _, _, code = kernel_band(grid, I, kind, 5, 2.0)
+        r = Raster(width=40, height=30, pixels=grid.ravel(), model=I, looks=2.0)
+        m = roughness_map(r, window=5, kind=kind)
+        assert m.sparse_windows == np.count_nonzero(code == raster._SPARSE) > 0
+        assert m.failures == {reason.value: int(np.count_nonzero(code == c))
+                              for c, reason in enumerate(FAILURE_CODES) if reason}
+        assert m.failures["NoRealRootOrMultiple"] > 0
+        assert m.n_failures == np.isnan(m.alpha[2:-2, 2:-2]).sum()
+
+    def test_eigen_solve_failure_falls_back_to_scalar_solver(self, monkeypatch):
+        grid, kind = kernel_scene(), EstimatorKind.FAST_POLY_CORRECTED
+        stacked = kernel_band(grid, I, kind, 5, 2.0)
+
+        def no_convergence(a):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
+        scalar = kernel_band(grid, I, kind, 5, 2.0)
+        np.testing.assert_array_equal(stacked[2], scalar[2])
+        np.testing.assert_allclose(stacked[0], scalar[0], rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_raster_as_wide_as_window_with_zero_pixel(self, kind):
+        # One window per row, so the strided windows fold into a view of the
+        # raster without a copy; the zero pixel leaves its windows 24 usable.
+        rng = np.random.default_rng(5)
+        grid = rng.gamma(2.0, 1.0, (9, 5)) / rng.gamma(3.0, 1.0, (9, 5))
+        grid[4, 2] = 0.0
+        r = Raster(width=5, height=9, pixels=grid.ravel(), model=I, looks=1.0)
+        m = roughness_map(r, window=5, kind=kind)
+        for i in range(2, 7):
+            win = grid[i - 2:i + 3].ravel()
+            res = estimate_alpha(Sample(win[win > 0.0], I), 1.0, I, kind)
+            if res.failure is None:
+                assert m.alpha[i, 2] == pytest.approx(res.alpha_hat, rel=1e-12, abs=0.0)
+            else:
+                assert np.isnan(m.alpha[i, 2]) and m.failures[res.failure.value] > 0
+        assert m.sparse_windows == 0
+
+    def test_column_spans_match_whole_row_chunks(self, monkeypatch):
+        grid, kind = kernel_scene(), EstimatorKind.FAST_POLY_CORRECTED
+        whole_rows = kernel_band(grid, I, kind, 5, 2.0)
+        monkeypatch.setattr(raster, "_CHUNK_WINDOWS", 7)  # 36 windows a row
+        spans = kernel_band(grid, I, kind, 5, 2.0)
+        for a, b in zip(whole_rows, spans):
+            np.testing.assert_array_equal(a, b)
+
+    @pytest.mark.parametrize("kind", [EstimatorKind.FAST_POLY_CORRECTED,
+                                      EstimatorKind.TRADITIONAL])
+    def test_chunk_and_worker_boundaries_do_not_matter(self, kind):
+        # 76 rows of 36 windows: chunks of 14 rows, cut differently inside
+        # each worker's band for every parallelism degree.
+        grid = kernel_scene(height=80)
+        r = Raster(width=40, height=80, pixels=grid.ravel(), model=I, looks=2.0)
+        serial = roughness_map(r, window=5, kind=kind)
+        assert 76 > 2 * (raster._CHUNK_WINDOWS // 36)
+        for workers in (2, 3):
+            par = roughness_map(r, window=5, kind=kind, parallelism=workers)
+            assert np.array_equal(serial.alpha, par.alpha, equal_nan=True)
+            assert np.array_equal(serial.gamma, par.gamma, equal_nan=True)
+            assert (serial.failures, serial.sparse_windows) == (par.failures,
+                                                                par.sparse_windows)
+
+
+def manual_map(alpha_rows, window=3, floor=-15.0, failures=None,
+               sparse=0) -> RoughnessMap:
     alpha = np.array(alpha_rows, dtype=float)
+    counts = {r.value: 0 for r in FailureReason}
+    counts.update(failures or {})
     return RoughnessMap(width=alpha.shape[1], height=alpha.shape[0], alpha=alpha,
                         gamma=np.where(np.isnan(alpha), np.nan, 1.0),
-                        n_failures=failures, elapsed_ns=1, window=window,
-                        estimator=TRAD, alpha_floor=floor)
+                        failures=counts, sparse_windows=sparse, elapsed_ns=1,
+                        window=window, estimator=TRAD, alpha_floor=floor)
 
 
 class TestWriteMap:
     def test_csv_zeros_for_absent_and_meta_sidecar(self, tmp_path):
-        m = manual_map([[np.nan, -2.5], [np.nan, np.nan]], failures=1)
+        m = manual_map([[np.nan, -2.5], [np.nan, np.nan]],
+                       failures={"NegativeEta": 1}, sparse=2)
         path = tmp_path / "map.csv"
         write_map(m, path, "csv")
         rows = [line.split(",") for line in path.read_text().splitlines()]
         assert [[float(v) for v in row] for row in rows] == [[0.0, -2.5], [0.0, 0.0]]
         meta = json.loads((tmp_path / "map.csv.meta.json").read_text())
-        assert meta == {"n_failures": 1, "elapsed_ns": 1, "window": 3,
-                        "estimator": "traditional"}
+        assert meta == {"n_failures": 3, "elapsed_ns": 1, "window": 3,
+                        "estimator": "traditional", "sparse_windows": 2,
+                        "failures": {"NegativeEta": 1, "NoRealRootOrMultiple": 0,
+                                     "RootOutOfRange": 0, "SolverNoConvergence": 0,
+                                     "DegenerateK2": 0}}
+
+    def test_golden_csv_and_pgm_bytes(self, tmp_path):
+        # Bytes written by the per-element formatter this export replaced.
+        m = manual_map([[np.nan, -1e-05, -14.999999999, -15.0],
+                        [-1e-12, -7.5, -2.5, -3.3333333333333335],
+                        [-16.0, -0.1, np.nan, -1.2345678901234567]])
+        write_map(m, tmp_path / "m.csv", "csv")
+        write_map(m, tmp_path / "m.pgm", "pgm")
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"0.0,-1e-05,-14.999999999,-15.0\n"
+            b"-1e-12,-7.5,-2.5,-3.3333333333333335\n"
+            b"-16.0,-0.1,0.0,-1.2345678901234567\n")
+        assert (tmp_path / "m.pgm").read_bytes() == (
+            b"P2\n4 3\n255\n0 255 0 0\n255 128 212 198\n0 253 0 234\n")
 
     def test_all_failed_map_is_all_zero(self, tmp_path):
         pixels = np.zeros(25)
