@@ -12,6 +12,7 @@ import os
 import sys
 
 import numpy as np
+from scipy.special import psi
 
 from . import harness, model, raster, specfun
 from .estimators import EstimatorKind, estimate_alpha
@@ -129,7 +130,7 @@ def _cmd_specfun_check(args) -> int:
     xs = np.logspace(np.log10(0.5), 2.0, 200)
     tri = max(abs(specfun.trigamma(x) - specfun.trigamma_series_oracle(x))
               / specfun.trigamma_series_oracle(x) for x in xs)
-    dig = max(abs(specfun.digamma(x) - specfun.digamma_series_oracle(x))
+    dig = max(abs(psi(x) - specfun.digamma_series_oracle(x))
               / max(1e-9, abs(specfun.digamma_series_oracle(x))) for x in xs)
     us = (0.01, 0.1, 0.5, 0.9, 0.99)
     dof = ((2.0, 4.0), (1.0, 6.0), (16.0, 3.0))

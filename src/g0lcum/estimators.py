@@ -18,10 +18,7 @@ from . import specfun
 from .model import LogCumulants, ModelKind, Sample
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-class SampleTooSmallError(Exception):
-    """The variance formula for eta needs at least four observations."""
+_EPS = np.finfo(float).eps
 
 
 class EstimatorKind(enum.Enum):
@@ -58,6 +55,14 @@ FAILURE_CODES = (None, *FailureReason)
 _CODE = {reason: code for code, reason in enumerate(FAILURE_CODES)}
 
 
+def count_failures(code) -> dict:
+    """Count of each FailureReason value among an array of outcome codes;
+    codes <= 0 are not failures."""
+    counts = np.bincount(code[code > 0], minlength=len(FAILURE_CODES))
+    return {reason.value: int(counts[c]) for c, reason in enumerate(FAILURE_CODES)
+            if reason is not None}
+
+
 @dataclass(frozen=True)
 class EtaEstimate:
     eta_hat: float
@@ -76,12 +81,31 @@ class EstimateResult:
     eta: EtaEstimate | None = None
 
 
-def eta_hat(lc: LogCumulants, looks: float, model: ModelKind) -> EtaEstimate:
-    """Transformed second log-cumulant whose trigamma inversion yields the
-    roughness; sigma is left unset."""
-    if looks < 1.0:
-        raise ValueError(f"looks must be >= 1, got {looks!r}")
-    return EtaEstimate(eta_hat=model.c_alpha * lc.k2 - specfun.trigamma(looks))
+def log_moments(logs):
+    """Mean k1 and second and fourth central moments k2 and m4 (divisor n,
+    center then square) of ``logs`` along its last axis, for one sample or a
+    stack of them. A sample of equal values gets k2 = m4 = 0 exactly: its
+    centering residue is no spread."""
+    logs = np.asarray(logs, dtype=float)
+    n = logs.shape[-1]
+    k1 = np.add.reduce(logs, axis=-1) / n
+    d = logs - k1[..., np.newaxis]
+    d *= d
+    k2 = np.add.reduce(d, axis=-1) / n
+    d *= d
+    m4 = np.add.reduce(d, axis=-1) / n
+    # The mean of n equal values is off by at most n*eps relative, so a
+    # constant sample's k2 is below this bound; only the samples below it
+    # get a second pass over their data.
+    near = k2 <= (n * _EPS * k1) ** 2
+    if np.count_nonzero(near):
+        rows = np.flatnonzero(near)
+        flat = np.zeros(near.size, dtype=bool)
+        checked = logs.reshape(-1, n)[rows]
+        flat[rows] = checked.min(axis=1) == checked.max(axis=1)
+        flat = flat.reshape(near.shape)
+        k2, m4 = np.where(flat, 0.0, k2), np.where(flat, 0.0, m4)
+    return k1, k2, m4
 
 
 def _eta_variance(k2, m4, n, c_alpha):
@@ -105,23 +129,6 @@ def _deep_tail_mean(eta_hat, sigma):
     return sigma / (s + acc)
 
 
-def eta_sigma(s: Sample, model: ModelKind) -> float:
-    """Estimated standard deviation of eta_hat from the second and fourth
-    central moments of the log data (divisor n); zero for a constant sample."""
-    n = len(s)
-    if n < 4:
-        raise SampleTooSmallError(f"need at least 4 observations, got {n}")
-    if s.values.min() == s.values.max():
-        # Centering residue must not leak a nonzero spread here.
-        return 0.0
-    logs = np.log(s.values)
-    d = logs - logs.mean()
-    d2 = d * d
-    k2 = float(d2.mean())
-    m4 = float((d2 * d2).mean())
-    return _sigma_from_log_moments(k2, m4, n, model.c_alpha)
-
-
 def bayes_correct_eta(eta: EtaEstimate) -> EtaEstimate:
     """Posterior-mean correction of eta under a flat positive prior: the mean
     of a normal centered at eta_hat with scale sigma, truncated to (0, inf).
@@ -141,12 +148,20 @@ def bayes_correct_eta(eta: EtaEstimate) -> EtaEstimate:
     return replace(eta, eta_m=corrected)
 
 
-def estimate_gamma(alpha_hat: float, k1: float, looks: float, model: ModelKind) -> float:
-    """Scale estimate from the first log-cumulant once roughness is known."""
-    if not (math.isfinite(alpha_hat) and alpha_hat < 0.0):
+def _gamma_hat(alpha_hat, k1, looks: float, model: ModelKind):
+    """estimate_gamma's formula, unchecked: alpha_hat must already be finite
+    and negative. Scalars or arrays."""
+    return looks * np.exp(model.k1_scale * k1 - _psi(looks) + _psi(-alpha_hat))
+
+
+def estimate_gamma(alpha_hat, k1, looks: float, model: ModelKind):
+    """Scale estimate from the first log-cumulant once roughness is known;
+    scalars or arrays of alpha_hat and k1."""
+    a = np.asarray(alpha_hat, dtype=float)
+    if not (np.isfinite(a) & (a < 0.0)).all():
         raise ValueError(f"alpha_hat must be negative, got {alpha_hat!r}")
-    return looks * math.exp(model.k1_scale * k1 - specfun.digamma(looks)
-                            + specfun.digamma(-alpha_hat))
+    gamma = _gamma_hat(a, k1, looks, model)
+    return float(gamma) if a.ndim == 0 else gamma
 
 
 def invert_eta(eta_value: float, kind: EstimatorKind,
@@ -186,10 +201,10 @@ def invert_eta(eta_value: float, kind: EstimatorKind,
             roots = specfun.solve_roughness_polynomial(eta_value)
         except specfun.NoConvergenceError:
             return None, FailureReason.SOLVER_NO_CONVERGENCE
-        negatives = [r for r in roots.real_roots() if r < 0.0]
-        if len(negatives) != 1:
+        negatives = roots.real[specfun.negative_real_mask(roots)]
+        if negatives.size != 1:
             return None, FailureReason.NO_REAL_ROOT_OR_MULTIPLE
-        alpha = negatives[0]
+        alpha = float(negatives[0])
     if not (alpha_floor <= alpha < 0.0):
         return None, FailureReason.ROOT_OUT_OF_RANGE
     return alpha, None
@@ -205,26 +220,19 @@ def estimate_alpha(s: Sample, looks: float, model: ModelKind, kind: EstimatorKin
     t0 = time.perf_counter_ns()
     logs = np.log(s.values)
     n = logs.size
-    k1 = float(logs.mean())
-    d = logs - k1
-    d2 = d * d
-    k2 = float(d2.mean())
+    k1, k2, m4 = map(float, log_moments(logs))
     eta = EtaEstimate(eta_hat=model.c_alpha * k2 - specfun.trigamma(looks))
     if kind is EstimatorKind.FAST_POLY_CORRECTED:
-        if n >= 4:
-            m4 = float((d2 * d2).mean())
-            sigma = _sigma_from_log_moments(k2, m4, n, model.c_alpha)
-        else:
-            # Too few points to estimate the spread; degrade to the
-            # point-estimate posterior rather than failing outright.
-            sigma = 0.0
+        # Too few points to estimate the spread: degrade to the
+        # point-estimate posterior rather than failing outright.
+        sigma = _sigma_from_log_moments(k2, m4, n, model.c_alpha) if n >= 4 else 0.0
         eta = bayes_correct_eta(replace(eta, sigma=sigma))
         alpha_hat, reason = invert_eta(eta.eta_m, kind, alpha_floor)
     else:
         alpha_hat, reason = invert_eta(eta.eta_hat, kind, alpha_floor)
     gamma_hat = None
     if alpha_hat is not None:
-        gamma_hat = estimate_gamma(alpha_hat, k1, looks, model)
+        gamma_hat = float(_gamma_hat(alpha_hat, k1, looks, model))
     elapsed = time.perf_counter_ns() - t0
     return EstimateResult(
         alpha_hat=alpha_hat,
@@ -248,7 +256,8 @@ def _bayes_correct_array(eta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     eta_m[direct] = eta[direct] + sigma[direct] * np.exp(
         -0.5 * td * td - _LOG_SQRT_2PI - _log_ndtr(td))
     tail = spread & ~direct
-    eta_m[tail] = _deep_tail_mean(eta[tail], sigma[tail])
+    if tail.any():
+        eta_m[tail] = _deep_tail_mean(eta[tail], sigma[tail])
     return eta_m
 
 
@@ -278,8 +287,7 @@ def _invert_polynomial_array(value: np.ndarray, kind: EstimatorKind, alpha_floor
         # the scalar solve classifies each one on its own.
         _invert_each(value, solve, kind, alpha_floor, alpha, code)
         return
-    real = np.abs(roots.imag) <= specfun.REAL_ROOT_IM_TOL * np.maximum(1.0, np.abs(roots.real))
-    negative = real & (roots.real < 0.0)
+    negative = specfun.negative_real_mask(roots)
     single = np.count_nonzero(negative, axis=1) == 1
     alpha[solve[single]] = roots.real[single][negative[single]]
     code[solve[~single]] = _CODE[FailureReason.NO_REAL_ROOT_OR_MULTIPLE]
@@ -288,8 +296,8 @@ def _invert_polynomial_array(value: np.ndarray, kind: EstimatorKind, alpha_floor
 def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
                           kind: EstimatorKind, alpha_floor: float = -15.0):
     """Array form of estimate_alpha for many samples at once, from 1-D
-    arrays of each sample's size n and log moments: mean k1, and second and
-    fourth central moments k2 and m4 (divisor n). Returns arrays (alpha_hat,
+    arrays of each sample's log_moments k1, k2, m4 and its size n (an array,
+    or one int for samples of equal size). Returns arrays (alpha_hat,
     gamma_hat, code): NaN estimates where a sample failed, and code 0 on
     success or the index of its FailureReason in FAILURE_CODES.
 
@@ -322,6 +330,5 @@ def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
     ok = code == 0
     alpha[~ok] = np.nan
     gamma = np.full(eta.shape, np.nan)
-    gamma[ok] = looks * np.exp(model.k1_scale * k1[ok] - specfun.digamma(looks)
-                               + _psi(-alpha[ok]))
+    gamma[ok] = estimate_gamma(alpha[ok], k1[ok], looks, model)
     return alpha, gamma, code

@@ -8,13 +8,20 @@ import csv
 import json
 import math
 import numbers
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
-from .estimators import EstimatorKind, FailureReason, Status, estimate_alpha
+from .estimators import (
+    EstimatorKind,
+    FailureReason,
+    count_failures,
+    estimate_from_moments,
+    log_moments,
+)
 from .model import G0Params, ModelKind, sample_g0, unit_mean_gamma
 
 _DEFAULT_ALPHAS = (-1.5, -3.0, -5.0)
@@ -185,39 +192,38 @@ class MCReport:
 
 
 def mse(estimates) -> float:
-    """Mean squared error over (estimate, truth) pairs."""
-    pairs = list(estimates)
-    if not pairs:
+    """Mean squared error over (estimate, truth) pairs, the rows of a
+    sequence or a (k, 2) array."""
+    pairs = np.asarray(estimates, dtype=float)
+    if pairs.size == 0:
         raise ValueError("MSE of an empty estimate list is undefined")
-    return float(np.mean([(a - b) ** 2 for a, b in pairs]))
+    return float(np.mean((pairs[:, 0] - pairs[:, 1]) ** 2))
 
 
 def _run_sample_cell(args) -> dict:
+    """Every requested estimator on one sample cell. Each trial's sample is
+    drawn from its own seed; the trials are then estimated as one batch.
+    The timing covers the log moments of the batch plus the estimator."""
     cfg, cell_index = args
     model, alpha, looks, n = cfg.sample_cells()[cell_index]
     params = G0Params(alpha=alpha, gamma=unit_mean_gamma(alpha), looks=looks)
-    acc = {kind: {"successes": 0, "sq_err": 0.0,
-                  "failures": {r: 0 for r in FailureReason}, "time_ns": 0}
-           for kind in cfg.estimators}
-    for trial in range(cfg.trials):
-        sample = sample_g0(params, model, n, trial_seed(cfg.seed, cell_index, trial))
-        for kind in cfg.estimators:
-            res = estimate_alpha(sample, looks, model, kind, cfg.alpha_floor)
-            a = acc[kind]
-            a["time_ns"] += res.elapsed_ns
-            if res.status is Status.OK:
-                a["successes"] += 1
-                a["sq_err"] += (res.alpha_hat - alpha) ** 2
-            else:
-                a["failures"][res.failure] += 1
+    values = np.stack([sample_g0(params, model, n, trial_seed(cfg.seed, cell_index, t)).values
+                       for t in range(cfg.trials)])
+    t0 = time.perf_counter_ns()
+    moments = log_moments(np.log(values))
+    moments_ns = time.perf_counter_ns() - t0
     out = {}
-    for kind, a in acc.items():
+    for kind in cfg.estimators:
+        t0 = time.perf_counter_ns()
+        alpha_hat, _, code = estimate_from_moments(n, *moments, looks, model, kind,
+                                                   cfg.alpha_floor)
+        elapsed = time.perf_counter_ns() - t0 + moments_ns
+        ok = alpha_hat[code == 0]
         out[kind] = CellStats(
             model=model, estimator=kind, alpha=alpha, looks=looks, n=n,
-            trials=cfg.trials, successes=a["successes"],
-            failures={r.value: c for r, c in a["failures"].items()},
-            mse=a["sq_err"] / a["successes"] if a["successes"] else None,
-            mean_time_ns=a["time_ns"] / cfg.trials,
+            trials=cfg.trials, successes=ok.size, failures=count_failures(code),
+            mse=mse(np.column_stack([ok, np.full(ok.size, alpha)])) if ok.size else None,
+            mean_time_ns=elapsed / cfg.trials,
         )
     return out
 
@@ -225,28 +231,22 @@ def _run_sample_cell(args) -> dict:
 def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     """Run every cell of the sweep; each trial's sample is shared by all
     requested estimators. Deterministic for a given config regardless of
-    the parallelism degree (timing fields excepted)."""
+    the parallelism degree (timing fields excepted). Cells are reported by
+    model, then estimator, then alpha, looks and n."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    cells = cfg.sample_cells()
-    work = [(cfg, i) for i in range(len(cells))]
-    if parallelism == 1 or len(cells) == 1:
+    work = [(cfg, i) for i in range(len(cfg.sample_cells()))]
+    if parallelism == 1 or len(work) == 1:
         partials = [_run_sample_cell(w) for w in work]
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             partials = list(pool.map(_run_sample_cell, work))
-    by_key = {}
-    for (model, alpha, looks, n), part in zip(cells, partials):
-        for kind, stats in part.items():
-            by_key[(model, kind, alpha, looks, n)] = stats
-    ordered = []
-    for model in cfg.models:
-        for kind in cfg.estimators:
-            for alpha in cfg.alphas:
-                for looks in cfg.looks:
-                    for n in cfg.sizes:
-                        ordered.append(by_key[(model, kind, alpha, looks, n)])
-    return MCReport(cells=ordered)
+    # Sample cells already run in (model, alpha, looks, n) order, and the
+    # sort is stable.
+    cells = sorted((stats for part in partials for stats in part.values()),
+                   key=lambda c: (cfg.models.index(c.model),
+                                  cfg.estimators.index(c.estimator)))
+    return MCReport(cells=cells)
 
 
 _CSV_COLUMNS = ("model", "estimator", "alpha", "L", "n", "trials", "successes",
@@ -278,39 +278,34 @@ def write_report(report: MCReport, path, fmt: str) -> None:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
+def _cell_from_record(rec: dict) -> CellStats:
+    """One report cell from its JSON record, or from a CSV row in that shape."""
+    return CellStats(
+        model=ModelKind.parse(rec["model"]),
+        estimator=EstimatorKind.parse(rec["estimator"]),
+        alpha=float(rec["alpha"]), looks=float(rec["looks"]),
+        n=int(rec["n"]), trials=int(rec["trials"]),
+        successes=int(rec["successes"]),
+        failures={r.value: int(rec["failures"][r.value]) for r in FailureReason},
+        mse=None if rec["mse"] in (None, "") else float(rec["mse"]),
+        mean_time_ns=float(rec["mean_time_ns"]),
+    )
+
+
 def read_report(path, fmt: str) -> MCReport:
-    cells = []
     if fmt == "csv":
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != _CSV_COLUMNS:
                 raise ValueError(f"{path}: unexpected report header {header!r}")
-            for row in reader:
-                rec = dict(zip(_CSV_COLUMNS, row))
-                cells.append(CellStats(
-                    model=ModelKind.parse(rec["model"]),
-                    estimator=EstimatorKind.parse(rec["estimator"]),
-                    alpha=float(rec["alpha"]), looks=float(rec["L"]),
-                    n=int(rec["n"]), trials=int(rec["trials"]),
-                    successes=int(rec["successes"]),
-                    failures={r.value: int(rec[f"fail_{r.value}"]) for r in FailureReason},
-                    mse=None if rec["mse"] == "" else float(rec["mse"]),
-                    mean_time_ns=float(rec["mean_time_ns"]),
-                ))
+            records = [dict(zip(_CSV_COLUMNS, row)) for row in reader]
+        for rec in records:
+            rec["looks"] = rec["L"]
+            rec["failures"] = {r.value: rec[f"fail_{r.value}"] for r in FailureReason}
     elif fmt == "json":
         with open(path) as fh:
-            payload = json.load(fh)
-        for rec in payload["cells"]:
-            cells.append(CellStats(
-                model=ModelKind.parse(rec["model"]),
-                estimator=EstimatorKind.parse(rec["estimator"]),
-                alpha=float(rec["alpha"]), looks=float(rec["looks"]),
-                n=int(rec["n"]), trials=int(rec["trials"]),
-                successes=int(rec["successes"]),
-                failures=dict(rec["failures"]),
-                mse=rec["mse"], mean_time_ns=float(rec["mean_time_ns"]),
-            ))
+            records = json.load(fh)["cells"]
     else:
         raise ValueError(f"unknown report format {fmt!r}")
-    return MCReport(cells=cells)
+    return MCReport(cells=[_cell_from_record(rec) for rec in records])

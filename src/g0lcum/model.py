@@ -10,6 +10,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import psi
 
 from . import specfun
 
@@ -117,22 +118,12 @@ def moment(params: G0Params, r: float, model: ModelKind) -> float:
 
 def theoretical_log_cumulants(params: G0Params, model: ModelKind) -> LogCumulants:
     a, g, looks = params.alpha, params.gamma, params.looks
-    k1 = math.log(g / looks) + specfun.digamma(looks) - specfun.digamma(-a)
+    k1 = float(math.log(g / looks) + psi(looks) - psi(-a))
     k2 = specfun.trigamma(looks) + specfun.trigamma(-a)
     if model is ModelKind.AMPLITUDE:
         k1 *= 0.5
         k2 *= 0.25
     return LogCumulants(k1=k1, k2=k2)
-
-
-def sample_log_cumulants(s: Sample) -> LogCumulants:
-    """First two empirical log-cumulants; the second uses divisor n as the
-    plain mean squared deviation of the logs."""
-    logs = np.log(s.values)
-    k1 = float(logs.mean())
-    d = logs - k1
-    k2 = float((d * d).mean())
-    return LogCumulants(k1=k1, k2=k2, n=len(s))
 
 
 def unit_mean_gamma(alpha: float) -> float:

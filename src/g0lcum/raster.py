@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .estimators import FAILURE_CODES, EstimatorKind, estimate_from_moments
+from .estimators import EstimatorKind, count_failures, estimate_from_moments, log_moments
 from .model import ModelKind
 
 # Windows per chunk of the map kernel. Each chunk holds copies of its
@@ -181,34 +181,25 @@ def read_raster(path, fmt: str, model: ModelKind, looks: float) -> Raster:
 
 
 def _window_moments(win: np.ndarray) -> tuple:
-    """Usable count n and log moments k1, k2, m4 of each row of ``win`` (the
-    log pixels of one window per row, NaN where a pixel is not positive), by
-    the divisor-n, center-then-square formulas of estimate_alpha; k1, k2, m4
-    are NaN where n < 4. Rows are grouped by n, and the usable logs of a
-    partly usable row are packed to the front of a copy, so each sum adds the
-    same values in the same order, and gives the same bits, as estimate_alpha
-    on that window. ``win`` is only read, so it may be a strided view."""
+    """Usable count n and log_moments k1, k2, m4 of each row of ``win`` (the
+    log pixels of one window per row, NaN where a pixel is not positive), as
+    estimate_alpha takes them; k1, k2, m4 are NaN where n < 4. Fully usable
+    rows are taken as they are, and a NaN leaves its row's moments NaN.
+    Partly usable rows are grouped by n, with their usable logs packed to
+    the front of a copy, so each sum adds the same values in the same order,
+    and gives the same bits, as estimate_alpha on that window. ``win`` is
+    only read, so it may be a strided view."""
     usable = ~np.isnan(win)
     n = np.count_nonzero(usable, axis=1)
+    k1, k2, m4 = log_moments(win)
     partial = np.flatnonzero((n >= 4) & (n < win.shape[1]))
     # Stable sort keeps the usable logs in window order.
     order = np.argsort(~usable[partial], axis=1, kind="stable")
     packed = np.take_along_axis(win[partial], order, axis=1)
-    k1, k2, m4 = (np.full(n.shape, np.nan) for _ in range(3))
-    for size in np.unique(n[n >= 4]).tolist():
-        if size == win.shape[1]:
-            rows = np.flatnonzero(n == size)
-            d = win[rows]
-        else:
-            group = np.flatnonzero(n[partial] == size)
-            rows = partial[group]
-            d = packed[group, :size]
-        k1[rows] = d.sum(axis=1) / size
-        d -= k1[rows, np.newaxis]
-        d *= d
-        k2[rows] = d.sum(axis=1) / size
-        d *= d
-        m4[rows] = d.sum(axis=1) / size
+    for size in np.unique(n[partial]).tolist():
+        group = np.flatnonzero(n[partial] == size)
+        rows = partial[group]
+        k1[rows], k2[rows], m4[rows] = log_moments(packed[group, :size])
     return n, k1, k2, m4
 
 
@@ -279,18 +270,15 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     else:
         with ProcessPoolExecutor(max_workers=parallelism) as pool:
             parts = list(pool.map(_map_rows, work))
-    counts = np.zeros(len(FAILURE_CODES), dtype=np.int64)
-    sparse = 0
-    for (lo, hi), (a_blk, g_blk, code) in zip(blocks, parts):
+    for (lo, hi), (a_blk, g_blk, _) in zip(blocks, parts):
         alpha[lo:hi, half:r.width - half] = a_blk
         gamma[lo:hi, half:r.width - half] = g_blk
-        counts += np.bincount(code[code > 0], minlength=len(FAILURE_CODES))
-        sparse += int(np.count_nonzero(code == _SPARSE))
+    code = np.concatenate([c.ravel() for _, _, c in parts])
     elapsed = time.perf_counter_ns() - t0
-    failures = {reason.value: int(counts[c]) for c, reason in enumerate(FAILURE_CODES)
-                if reason is not None}
     return RoughnessMap(width=r.width, height=r.height, alpha=alpha, gamma=gamma,
-                        failures=failures, sparse_windows=sparse, elapsed_ns=elapsed,
+                        failures=count_failures(code),
+                        sparse_windows=int(np.count_nonzero(code == _SPARSE)),
+                        elapsed_ns=elapsed,
                         window=window, estimator=kind, alpha_floor=alpha_floor)
 
 

@@ -4,7 +4,6 @@ F-distribution quantile machinery used by the roughness estimators."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as _sp
@@ -24,13 +23,8 @@ class DegenerateLeadingCoefficientError(Exception):
     """Polynomial degree collapses because the leading coefficient vanishes."""
 
 
-@dataclass(frozen=True)
-class MathConstants:
-    euler_mascheroni: float
-    pi: float
-
-
-CONSTANTS = MathConstants(euler_mascheroni=0.5772156649015329, pi=math.pi)
+# Euler-Mascheroni constant, the digamma oracle's -psi(1).
+_EULER_MASCHERONI = 0.5772156649015329
 
 # Asymptotic tail coefficients: Bernoulli numbers B_2..B_14.
 _B2K = (
@@ -55,24 +49,6 @@ def ln_gamma(x: float) -> float:
     """Natural log of the gamma function on the positive axis."""
     x = _check_positive(x, "x")
     return float(_sp.gammaln(x))
-
-
-def digamma(x: float) -> float:
-    """First logarithmic derivative of gamma, by recurrence shift to x >= 10
-    followed by the asymptotic expansion."""
-    x = _check_positive(x, "x")
-    shift = 0.0
-    while x < 10.0:
-        shift -= 1.0 / x
-        x += 1.0
-    w = 1.0 / (x * x)
-    # psi(x) ~ ln x - 1/(2x) - sum B_2k / (2k x^{2k})
-    tail = w * (
-        1.0 / 12.0
-        + w * (-1.0 / 120.0 + w * (1.0 / 252.0 + w * (-1.0 / 240.0
-            + w * (1.0 / 132.0 + w * (-691.0 / 32760.0 + w / 12.0)))))
-    )
-    return shift + math.log(x) - 0.5 / x - tail
 
 
 def trigamma(x: float) -> float:
@@ -127,7 +103,7 @@ def digamma_series_oracle(x: float) -> float:
     tail = (math.log(b / a) + 0.5 * (1.0 / a - 1.0 / b)
             - (1.0 / (b * b) - 1.0 / (a * a)) / 12.0
             + (6.0 / (b ** 4) - 6.0 / (a ** 4)) / 720.0)
-    return -CONSTANTS.euler_mascheroni + head + tail
+    return -_EULER_MASCHERONI + head + tail
 
 
 def euler_mascheroni_oracle() -> float:
@@ -169,20 +145,12 @@ def trigamma_inverse_bracketed(eta: float, tol: float = 1e-10,
 REAL_ROOT_IM_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class PolyRoots:
-    """Root set of the degree-7 roughness polynomial."""
-
-    roots: tuple
-
-    def real_roots(self, im_tol: float = REAL_ROOT_IM_TOL) -> list:
-        """Roots whose imaginary part is negligible next to the real part;
-        eigenvalue noise makes exact-zero tests meaningless."""
-        out = []
-        for r in self.roots:
-            if abs(r.imag) <= im_tol * max(1.0, abs(r.real)):
-                out.append(float(r.real))
-        return out
+def negative_real_mask(roots: np.ndarray) -> np.ndarray:
+    """Mask of the roots, shape (7,) or (P, 7), that are real and negative.
+    A root counts as real when its imaginary part is negligible next to its
+    real part; eigenvalue noise makes exact-zero tests meaningless."""
+    real = np.abs(roots.imag) <= REAL_ROOT_IM_TOL * np.maximum(1.0, np.abs(roots.real))
+    return real & (roots.real < 0.0)
 
 
 def roughness_polynomial(eta_m: float, z: complex) -> complex:
@@ -208,9 +176,10 @@ def _set_monic_tail(last, inv) -> None:
     last[6] = -inv
 
 
-def solve_roughness_polynomial(eta_m: float) -> PolyRoots:
-    """All seven roots of the roughness polynomial, as eigenvalues of the
-    companion matrix of its monic normalization."""
+def solve_roughness_polynomial(eta_m: float) -> np.ndarray:
+    """All seven roots of the roughness polynomial, sorted by real then
+    imaginary part, as eigenvalues of the companion matrix of its monic
+    normalization."""
     eta_m = float(eta_m)
     if not math.isfinite(eta_m) or eta_m == 0.0:
         raise DegenerateLeadingCoefficientError(
@@ -220,8 +189,7 @@ def solve_roughness_polynomial(eta_m: float) -> PolyRoots:
     wr, wi, _, _, info = _lapack.dgeev(comp, compute_vl=0, compute_vr=0, overwrite_a=1)
     if info != 0:
         raise NoConvergenceError(f"eigenvalue iteration failed (info={info})")
-    ordered = sorted((wr + 1j * wi).tolist(), key=lambda r: (r.real, r.imag))
-    return PolyRoots(roots=tuple(ordered))
+    return np.sort(wr + 1j * wi)
 
 
 def roughness_companions(eta_m: np.ndarray) -> np.ndarray:
@@ -231,27 +199,6 @@ def roughness_companions(eta_m: np.ndarray) -> np.ndarray:
     comp = np.repeat(_COMPANION_TEMPLATE[np.newaxis], inv.size, axis=0)
     _set_monic_tail(comp[:, :, -1].T, inv)
     return comp
-
-
-def inv_reg_incomplete_beta(u: float, a: float, b: float) -> float:
-    """Inverse of the regularized incomplete beta function in its first
-    argument: returns y with I_y(a, b) = u."""
-    a = _check_positive(a, "a")
-    b = _check_positive(b, "b")
-    u = float(u)
-    if not (0.0 <= u <= 1.0):
-        raise ValueError(f"u must lie in [0, 1], got {u!r}")
-    return float(_sp.betaincinv(a, b, u))
-
-
-def reg_incomplete_beta(y: float, a: float, b: float) -> float:
-    """Forward regularized incomplete beta I_y(a, b)."""
-    a = _check_positive(a, "a")
-    b = _check_positive(b, "b")
-    y = float(y)
-    if not (0.0 <= y <= 1.0):
-        raise ValueError(f"y must lie in [0, 1], got {y!r}")
-    return float(_sp.betainc(a, b, y))
 
 
 def f_quantile(u, d1: float, d2: float):

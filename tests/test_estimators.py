@@ -14,19 +14,16 @@ from g0lcum.estimators import (
     EstimatorKind,
     EtaEstimate,
     FailureReason,
-    SampleTooSmallError,
     Status,
     bayes_correct_eta,
     estimate_alpha,
     estimate_from_moments,
     estimate_gamma,
-    eta_hat,
-    eta_sigma,
     invert_eta,
+    log_moments,
 )
 from g0lcum.model import (
     G0Params,
-    LogCumulants,
     ModelKind,
     Sample,
     sample_g0,
@@ -38,47 +35,96 @@ I = ModelKind.INTENSITY
 A = ModelKind.AMPLITUDE
 
 
+def two_point_sample(k2: float, model: ModelKind) -> Sample:
+    """Sample whose intensity logs are +-sqrt(k2), so that their k2 (divisor
+    n) is k2; amplitude logs are half as large."""
+    r = math.sqrt(k2) * (0.5 if model is A else 1.0)
+    return Sample(values=np.exp([-r, r]), model=model)
+
+
+def eta_of(s: Sample, looks: float, model: ModelKind):
+    return estimate_alpha(s, looks, model, EstimatorKind.FMOLC_SIMPLE).eta.eta_hat
+
+
+def sigma_of(s: Sample, model: ModelKind):
+    return estimate_alpha(s, 1.0, model, EstimatorKind.FAST_POLY_CORRECTED).eta.sigma
+
+
 class TestEtaHat:
     def test_intensity_case(self):
         """k2 = psi1(1)+psi1(2) at L=1 leaves eta = psi1(2)."""
-        lc = LogCumulants(k1=0.0, k2=specfun.trigamma(1.0) + specfun.trigamma(2.0))
-        eta = eta_hat(lc, 1.0, I)
-        assert eta.eta_hat == pytest.approx(0.64493406684822643647, rel=1e-13)
+        k2 = specfun.trigamma(1.0) + specfun.trigamma(2.0)
+        eta = eta_of(two_point_sample(k2, I), 1.0, I)
+        assert eta == pytest.approx(0.64493406684822643647, rel=1e-13)
 
     def test_amplitude_quarter_cancels(self):
         k2i = specfun.trigamma(1.0) + specfun.trigamma(2.0)
-        ei = eta_hat(LogCumulants(k1=0.0, k2=k2i), 1.0, I)
-        ea = eta_hat(LogCumulants(k1=0.0, k2=k2i / 4.0), 1.0, A)
-        assert ea.eta_hat == pytest.approx(ei.eta_hat, rel=1e-13)
+        ei = eta_of(two_point_sample(k2i, I), 1.0, I)
+        ea = eta_of(two_point_sample(k2i, A), 1.0, A)
+        assert ea == pytest.approx(ei, rel=1e-13)
 
     def test_degenerate_k2_goes_negative(self):
-        eta = eta_hat(LogCumulants(k1=0.0, k2=0.0), 1.0, I)
-        assert eta.eta_hat == pytest.approx(-math.pi ** 2 / 6.0, rel=1e-13)
+        eta = eta_of(Sample(values=np.full(5, 1.7), model=I), 1.0, I)
+        assert eta == -specfun.trigamma(1.0)
+        assert eta == pytest.approx(-math.pi ** 2 / 6.0, rel=1e-13)
 
 
 class TestEtaSigma:
     def test_constant_sample_is_zero(self):
         s = Sample(values=np.full(10, 2.5), model=I)
-        assert eta_sigma(s, I) == 0.0
-
-    def test_too_small_sample(self):
-        s = Sample(values=np.array([1.0, 2.0, 3.0]), model=I)
-        with pytest.raises(SampleTooSmallError):
-            eta_sigma(s, I)
+        assert sigma_of(s, I) == 0.0
 
     def test_gaussian_logs_match_variance_of_sample_variance(self):
         """For standard normal logs the spread is sqrt(2/n) up to O(1/n)."""
         rng = np.random.default_rng(17)
         n = 100_000
         s = Sample(values=np.exp(rng.standard_normal(n)), model=I)
-        assert eta_sigma(s, I) == pytest.approx(math.sqrt(2.0 / n), rel=0.05)
+        assert sigma_of(s, I) == pytest.approx(math.sqrt(2.0 / n), rel=0.05)
 
     def test_linear_in_model_constant(self):
         rng = np.random.default_rng(8)
         vals = rng.uniform(0.5, 2.0, 64)
         si = Sample(values=vals, model=I)
         sa = Sample(values=vals, model=A)
-        assert eta_sigma(sa, A) == pytest.approx(4.0 * eta_sigma(si, I), rel=1e-12)
+        assert sigma_of(sa, A) == pytest.approx(4.0 * sigma_of(si, I), rel=1e-12)
+
+
+class TestLogMoments:
+    def test_hand_case(self):
+        """logs 0,1,2: mean 1, population variance 2/3, m4 2/3 (divisor n)."""
+        k1, k2, m4 = log_moments(np.array([0.0, 1.0, 2.0]))
+        assert (k1, k2, m4) == pytest.approx((1.0, 2.0 / 3.0, 2.0 / 3.0), rel=1e-14)
+
+    def test_stack_matches_each_row_bit_for_bit(self):
+        rng = np.random.default_rng(4)
+        for n in (3, 9, 25, 121, 1000):
+            logs = rng.standard_normal((17, n)) * 3.0 + 2.0
+            stacked = log_moments(logs)
+            for t in range(17):
+                assert tuple(float(x[t]) for x in stacked) == tuple(
+                    float(x) for x in log_moments(logs[t]))
+
+    def test_constant_sample_has_exactly_zero_spread(self):
+        """The centering residue of a constant sample is no spread, in one
+        sample or a stack, whatever the size and the value."""
+        rng = np.random.default_rng(6)
+        for _ in range(300):
+            n = int(rng.integers(1, 1002))
+            value = float(np.exp(rng.uniform(-30.0, 30.0)))
+            logs = np.log(np.full(n, value))
+            k1, k2, m4 = log_moments(logs)
+            assert k1 == pytest.approx(logs[0], rel=1e-12, abs=1e-300)
+            assert k2 == 0.0 and m4 == 0.0
+            stack = np.vstack([logs, logs + rng.standard_normal(n) * 1e-3])
+            k1s, k2s, m4s = log_moments(stack)
+            assert k2s[0] == 0.0 and m4s[0] == 0.0
+            assert (n == 1) == (k2s[1] == 0.0)
+
+    def test_nearly_constant_sample_keeps_its_spread(self):
+        logs = np.full(50, 3.0)
+        logs[7] = np.nextafter(3.0, 4.0)
+        _, k2, m4 = log_moments(logs)
+        assert k2 > 0.0 and m4 > 0.0
 
 
 class TestBayesCorrection:
@@ -200,7 +246,7 @@ class TestInvertEta:
             eta = specfun.trigamma(float(a))
             bracketed = -specfun.trigamma_inverse_bracketed(eta)
             roots = specfun.solve_roughness_polynomial(eta)
-            neg = [r for r in roots.real_roots() if r < 0.0]
+            neg = roots.real[specfun.negative_real_mask(roots)]
             assert len(neg) == 1
             assert abs(neg[0] - bracketed) <= 5e-3
 

@@ -198,8 +198,9 @@ class TestRoughnessMap:
 
 def kernel_scene(height=30, width=40, seed=11) -> np.ndarray:
     """Heavy-tailed positive grid with a no-data patch holding windows of
-    exactly 4 and exactly 3 usable pixels, and a saturated constant block
-    whose windows drive the Bayes correction into its t < -8 branch."""
+    exactly 4 and exactly 3 usable pixels, a saturated constant block whose
+    windows have exactly zero spread, and a nearly constant block whose
+    windows drive the Bayes correction into its t < -8 branch."""
     rng = np.random.default_rng(seed)
     grid = rng.gamma(2.0, 1.0, (height, width)) / rng.gamma(3.0, 1.0, (height, width))
     grid[4:16, 3:17] = 0.0
@@ -207,6 +208,7 @@ def kernel_scene(height=30, width=40, seed=11) -> np.ndarray:
     grid[12, 12:14] = 1.0                           # the window at (13, 13) sees 3
     grid[13, 12] = 3.0
     grid[18:28, 20:33] = 7.25
+    grid[18:28, 3:15] = 3.0 * np.exp(1e-4 * rng.standard_normal((10, 12)))
     return grid
 
 

@@ -6,16 +6,17 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import psi
 
 from g0lcum import specfun
 from g0lcum.specfun import (
-    CONSTANTS,
     DegenerateLeadingCoefficientError,
     NoBracketError,
-    digamma,
     f_cdf,
     f_quantile,
     ln_gamma,
+    negative_real_mask,
+    roughness_companions,
     roughness_polynomial,
     solve_roughness_polynomial,
     trigamma,
@@ -44,18 +45,21 @@ TRIGAMMA_REF = {
 
 class TestPolygamma:
     def test_digamma_frozen_values(self):
+        """The scale estimate's digamma is scipy's psi."""
         for x, ref in DIGAMMA_REF.items():
-            assert digamma(x) == pytest.approx(ref, rel=1e-13, abs=1e-14)
+            assert psi(x) == pytest.approx(ref, rel=1e-13, abs=1e-14)
 
     def test_trigamma_frozen_values(self):
         for x, ref in TRIGAMMA_REF.items():
             assert trigamma(x) == pytest.approx(ref, rel=1e-13)
 
     def test_digamma_identities(self):
-        """psi(x+1) = psi(x) + 1/x and psi(1) = -euler_mascheroni."""
-        assert digamma(1.0) == pytest.approx(-CONSTANTS.euler_mascheroni, rel=1e-15)
-        for x in (0.3, 1.0, 2.5, 7.0, 40.0):
-            assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-13)
+        """psi(x+1) = psi(x) + 1/x and psi(1) = -euler_mascheroni, for psi
+        and for its series oracle."""
+        for digamma in (psi, specfun.digamma_series_oracle):
+            assert digamma(1.0) == pytest.approx(-np.euler_gamma, rel=1e-15)
+            for x in (0.3, 1.0, 2.5, 7.0, 40.0):
+                assert digamma(x + 1.0) == pytest.approx(digamma(x) + 1.0 / x, rel=1e-13)
 
     def test_trigamma_identities(self):
         """psi1(x+1) = psi1(x) - 1/x^2 and psi1(1) = pi^2/6."""
@@ -70,11 +74,10 @@ class TestPolygamma:
             tref = specfun.trigamma_series_oracle(x)
             dref = specfun.digamma_series_oracle(x)
             assert abs(trigamma(x) - tref) <= 1e-12 * abs(tref)
-            assert abs(digamma(x) - dref) <= 1e-12 * max(1.0, abs(dref))
+            assert abs(psi(x) - dref) <= 1e-12 * max(1.0, abs(dref))
 
     def test_euler_mascheroni_oracle(self):
-        assert specfun.euler_mascheroni_oracle() == pytest.approx(
-            CONSTANTS.euler_mascheroni, abs=1e-14)
+        assert specfun.euler_mascheroni_oracle() == pytest.approx(np.euler_gamma, abs=1e-14)
 
     def test_ln_gamma(self):
         assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
@@ -83,7 +86,7 @@ class TestPolygamma:
     def test_domain_validation(self):
         for bad in (0.0, -1.0, math.nan, math.inf):
             with pytest.raises(ValueError):
-                digamma(bad)
+                specfun.digamma_series_oracle(bad)
             with pytest.raises(ValueError):
                 trigamma(bad)
 
@@ -137,8 +140,8 @@ class TestRoughnessPolynomial:
     def test_solver_roots_annihilate_polynomial(self):
         for eta in (0.05, 0.5, 2.0):
             roots = solve_roughness_polynomial(eta)
-            assert len(roots.roots) == 7
-            for r in roots.roots:
+            assert roots.shape == (7,)
+            for r in roots:
                 # Scale-relative residual: coefficients are O(210 |r|^7).
                 scale = 210.0 * max(1.0, abs(r)) ** 7
                 val = (210.0 * eta * r ** 7 + 210.0 * r ** 6 - 105.0 * r ** 5
@@ -148,22 +151,39 @@ class TestRoughnessPolynomial:
     def test_unique_negative_real_root_frozen(self):
         # mpmath.polyroots oracle at 40 digits for eta_m = 0.5.
         roots = solve_roughness_polynomial(0.5)
-        neg = [r for r in roots.real_roots() if r < 0.0]
+        neg = roots.real[negative_real_mask(roots)]
         assert len(neg) == 1
         assert neg[0] == pytest.approx(-2.4599837508297701623, rel=1e-10)
 
     def test_root_near_alpha_three(self):
         # mpmath oracle: exact negative root for eta = trigamma(3).
         roots = solve_roughness_polynomial(trigamma(3.0))
-        neg = [r for r in roots.real_roots() if r < 0.0]
+        neg = roots.real[negative_real_mask(roots)]
         assert len(neg) == 1
         assert neg[0] == pytest.approx(-3.0000089164442775458, rel=1e-10)
 
     def test_single_negative_real_root_across_eta(self):
         for eta in np.logspace(-4, 1, 40):
             roots = solve_roughness_polynomial(float(eta))
-            neg = [r for r in roots.real_roots() if r < 0.0]
+            neg = roots.real[negative_real_mask(roots)]
             assert len(neg) == 1
+
+    def test_roots_sorted_by_real_then_imaginary_part(self):
+        for eta in (0.05, 0.5, 2.0):
+            roots = solve_roughness_polynomial(eta)
+            order = sorted(range(7), key=lambda i: (roots[i].real, roots[i].imag))
+            assert order == list(range(7))
+
+    def test_root_mask_on_a_stack_matches_each_row(self):
+        etas = np.logspace(-4, 1, 12)
+        stack = np.sort(np.linalg.eigvals(roughness_companions(etas)), axis=1)
+        mask = negative_real_mask(stack)
+        assert mask.shape == (12, 7)
+        for eta, row, row_mask in zip(etas, stack, mask):
+            assert np.array_equal(row_mask, negative_real_mask(row))
+            single = solve_roughness_polynomial(float(eta))
+            assert row.real[row_mask] == pytest.approx(single.real[negative_real_mask(single)],
+                                                      rel=1e-12)
 
     def test_degenerate_leading_coefficient(self):
         for bad in (0.0, math.nan):
