@@ -215,7 +215,7 @@ def estimate_alpha(s: Sample, looks: float, model: ModelKind, kind: EstimatorKin
     """Full estimation on a raw sample: log-cumulants, eta, inversion, and
     the scale estimate on success. Failures are carried in the result, never
     thrown; timing covers everything from the log transform onward."""
-    if looks < 1.0:
+    if not (math.isfinite(looks) and looks >= 1.0):
         raise ValueError(f"looks must be >= 1, got {looks!r}")
     t0 = time.perf_counter_ns()
     logs = np.log(s.values)
@@ -304,7 +304,7 @@ def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
     fmolc and the polynomial estimators run on whole arrays, the latter
     through one stacked companion-matrix eigenvalue solve; the traditional
     estimator keeps the bracketed solver, one sample at a time."""
-    if looks < 1.0:
+    if not (math.isfinite(looks) and looks >= 1.0):
         raise ValueError(f"looks must be >= 1, got {looks!r}")
     n = np.asarray(n)
     k1, k2, m4 = (np.asarray(x, dtype=float) for x in (k1, k2, m4))

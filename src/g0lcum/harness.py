@@ -73,8 +73,12 @@ class MCConfig:
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        if not (self.alphas and self.looks and self.sizes and self.models and self.estimators):
-            raise ValueError("every sweep list must be nonempty")
+        for name in _SWEEP_FIELDS:
+            values = getattr(self, name)
+            if not values:
+                raise ValueError("every sweep list must be nonempty")
+            if len(set(values)) != len(values):
+                raise ValueError(f"{name} has a repeated value")
         if any(not (math.isfinite(a) and a < -1.0) for a in self.alphas):
             raise ValueError("alphas must be < -1 so the unit-mean scale exists")
         if any(not (math.isfinite(l) and l >= 1.0) for l in self.looks):
@@ -239,7 +243,7 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     if parallelism == 1 or len(work) == 1:
         partials = [_run_sample_cell(w) for w in work]
     else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(work))) as pool:
             partials = list(pool.map(_run_sample_cell, work))
     # Sample cells already run in (model, alpha, looks, n) order, and the
     # sort is stable.

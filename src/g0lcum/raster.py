@@ -5,8 +5,9 @@ window's strictly positive neighbors."""
 from __future__ import annotations
 
 import json
+import math
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,7 +46,7 @@ class Raster:
                              f"got {arr.size}")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("pixels must be finite and nonnegative")
-        if self.looks < 1.0:
+        if not (math.isfinite(self.looks) and self.looks >= 1.0):
             raise ValueError("looks must be >= 1")
         object.__setattr__(self, "pixels", arr)
 
@@ -203,34 +204,30 @@ def _window_moments(win: np.ndarray) -> tuple:
     return n, k1, k2, m4
 
 
-def _map_rows(args) -> tuple:
-    """Estimates and outcome codes for every full window centered in one band
-    of rows. ``logs`` holds the band plus the window's halo rows above and
-    below. Chunks are whole rows, or column spans of one row when a row has
-    more than _CHUNK_WINDOWS windows."""
-    logs, model, looks, window, kind, alpha_floor = args
-    n_rows = logs.shape[0] - window + 1
-    n_cols = logs.shape[1] - window + 1
-    alpha = np.full((n_rows, n_cols), np.nan)
-    gamma = np.full((n_rows, n_cols), np.nan)
-    code = np.full((n_rows, n_cols), _SPARSE, dtype=np.int8)
+def _chunks(n_rows: int, n_cols: int) -> list:
+    """Window-index bounds (r0, r1, c0, c1) of the kernel's chunks: whole
+    rows, or column spans of one row when a row has more than
+    _CHUNK_WINDOWS windows."""
     row_step = max(1, _CHUNK_WINDOWS // n_cols)
     col_step = min(n_cols, _CHUNK_WINDOWS)
-    for r0 in range(0, n_rows, row_step):
-        r1 = min(n_rows, r0 + row_step)
-        for c0 in range(0, n_cols, col_step):
-            c1 = min(n_cols, c0 + col_step)
-            win = sliding_window_view(logs[r0:r1 + window - 1, c0:c1 + window - 1],
-                                      (window, window))
-            n, k1, k2, m4 = _window_moments(win.reshape(-1, window * window))
-            est = n >= 4
-            a, g, c = estimate_from_moments(n[est], k1[est], k2[est], m4[est],
-                                            looks, model, kind, alpha_floor)
-            est = est.reshape(r1 - r0, c1 - c0)
-            alpha[r0:r1, c0:c1][est] = a
-            gamma[r0:r1, c0:c1][est] = g
-            code[r0:r1, c0:c1][est] = c
-    return alpha, gamma, code
+    return [(r0, min(n_rows, r0 + row_step), c0, min(n_cols, c0 + col_step))
+            for r0 in range(0, n_rows, row_step) for c0 in range(0, n_cols, col_step)]
+
+
+def _map_chunk(logs, model, looks, window, kind, alpha_floor) -> tuple:
+    """Estimates and outcome codes for every full window in ``logs``, one
+    chunk's log pixels plus the window's halo, as arrays of the chunk's
+    window grid."""
+    shape = (logs.shape[0] - window + 1, logs.shape[1] - window + 1)
+    win = sliding_window_view(logs, (window, window))
+    n, k1, k2, m4 = _window_moments(win.reshape(-1, window * window))
+    est = n >= 4
+    alpha = np.full(n.shape, np.nan)
+    gamma = np.full(n.shape, np.nan)
+    code = np.full(n.shape, _SPARSE, dtype=np.int8)
+    alpha[est], gamma[est], code[est] = estimate_from_moments(
+        n[est], k1[est], k2[est], m4[est], looks, model, kind, alpha_floor)
+    return alpha.reshape(shape), gamma.reshape(shape), code.reshape(shape)
 
 
 def roughness_map(r: Raster, window: int, kind: EstimatorKind,
@@ -239,10 +236,11 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     raster; the border frame stays absent. Zero pixels are dropped from each
     window, and windows with fewer than 4 usable pixels count as failures.
 
-    Logs are taken once over the whole raster; each worker gets one band of
-    rows plus its halo and works through it in chunks of rows, so every
-    estimate depends on its own window only and the output is identical for
-    any parallelism degree."""
+    Logs are taken once over the whole raster. Its windows are cut into
+    chunks that up to ``parallelism`` threads work through (one for the
+    traditional estimator), each writing only its own chunk's slice of the
+    output; every estimate depends on its own window only, so the output is
+    identical for any parallelism degree."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
     if window > min(r.width, r.height):
@@ -254,26 +252,23 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     half = window // 2
     grid = r.grid()
     logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
-    row_lo, row_hi = half, r.height - half
-    n_rows = row_hi - row_lo
     alpha = np.full((r.height, r.width), np.nan)
     gamma = np.full((r.height, r.width), np.nan)
-    if parallelism == 1 or n_rows <= 1:
-        blocks = [(row_lo, row_hi)]
-    else:
-        bounds = np.linspace(row_lo, row_hi, min(parallelism, n_rows) + 1).astype(int)
-        blocks = [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if a < b]
-    work = [(logs[lo - half:hi + half], r.model, r.looks, window, kind, alpha_floor)
-            for lo, hi in blocks]
-    if len(work) == 1:
-        parts = [_map_rows(work[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            parts = list(pool.map(_map_rows, work))
-    for (lo, hi), (a_blk, g_blk, _) in zip(blocks, parts):
-        alpha[lo:hi, half:r.width - half] = a_blk
-        gamma[lo:hi, half:r.width - half] = g_blk
-    code = np.concatenate([c.ravel() for _, _, c in parts])
+    code = np.empty((r.height - window + 1, r.width - window + 1), dtype=np.int8)
+
+    def run(bounds):
+        r0, r1, c0, c1 = bounds
+        a, g, c = _map_chunk(logs[r0:r1 + window - 1, c0:c1 + window - 1],
+                             r.model, r.looks, window, kind, alpha_floor)
+        alpha[r0 + half:r1 + half, c0 + half:c1 + half] = a
+        gamma[r0 + half:r1 + half, c0 + half:c1 + half] = g
+        code[r0:r1, c0:c1] = c
+
+    chunks = _chunks(*code.shape)
+    # traditional's per-window brentq holds the interpreter lock: more threads only contend.
+    workers = 1 if kind is EstimatorKind.TRADITIONAL else min(parallelism, len(chunks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, chunks))
     elapsed = time.perf_counter_ns() - t0
     return RoughnessMap(width=r.width, height=r.height, alpha=alpha, gamma=gamma,
                         failures=count_failures(code),

@@ -182,6 +182,32 @@ class TestExitCodes:
         assert err.startswith("g0lcum: error: ") and "Traceback" not in err
         assert "'i'" not in err
 
+    @pytest.mark.parametrize("field, values", [
+        ("alphas", [-3.0, -3.0]), ("sizes", [9, 9]), ("models", ["intensity", "intensity"]),
+        ("estimators", ["poly", "fmolc", "poly"])])
+    def test_repeated_sweep_value_is_domain_error(self, tmp_path, capsys, field, values):
+        cfg = tmp_path / "repeated.json"
+        cfg.write_text(json.dumps({"trials": 2, field: values}))
+        assert run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                       "--format", "csv", "--threads", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("g0lcum: error: ") and f"{field} has a repeated value" in err
+
+    @pytest.mark.parametrize("looks", ["nan", "inf"])
+    def test_nonfinite_looks_is_domain_error(self, tmp_path, capsys, looks):
+        sample = write_sample(tmp_path)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("\n".join(",".join(f"{v:.17g}" for v in row) for row in
+                                  np.random.default_rng(5).gamma(2.0, 1.0, (5, 5))) + "\n")
+        capsys.readouterr()
+        assert run_cli("estimate", "--in", str(sample), "--looks", looks,
+                       "--model", "intensity", "--estimator", "poly") == 1
+        assert "looks must be >= 1" in capsys.readouterr().err
+        assert run_cli("map", "--in", str(grid), "--format", "csv", "--window", "3",
+                       "--looks", looks, "--model", "intensity", "--estimator", "poly",
+                       "--out", str(tmp_path / "m.csv"), "--threads", "1") == 1
+        assert "looks must be >= 1" in capsys.readouterr().err
+
     def test_invalid_domain_value_is_domain_error(self, tmp_path):
         assert run_cli("sample", "--alpha", "1.0", "--looks", "2",
                        "--model", "intensity", "--n", "5", "--seed", "1",

@@ -413,6 +413,8 @@ class TestEstimateFromMoments:
             else:
                 assert math.isnan(alpha[i]) and math.isnan(gamma[i])
 
-    def test_rejects_bad_looks(self):
-        with pytest.raises(ValueError, match="looks"):
-            estimate_from_moments([9], [0.0], [1.0], [3.0], 0.5, I, EstimatorKind.FMOLC_SIMPLE)
+    @pytest.mark.parametrize("looks", [0.5, math.nan, math.inf])
+    def test_rejects_bad_looks(self, looks):
+        with pytest.raises(ValueError, match="looks must be >= 1"):
+            estimate_from_moments([9], [0.0], [1.0], [3.0], looks, I,
+                                  EstimatorKind.FMOLC_SIMPLE)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from g0lcum import harness
 from g0lcum.estimators import EstimatorKind, FailureReason, Status, estimate_alpha
 from g0lcum.harness import (
     CellStats,
@@ -68,6 +69,18 @@ class TestMCConfig:
             MCConfig(trials=0)
         with pytest.raises(ValueError, match="alpha_floor"):
             MCConfig(alpha_floor=1.0)
+
+    @pytest.mark.parametrize("field, values", [
+        ("alphas", (-3.0, -1.5, -3)),
+        ("looks", (1.0, 1)),
+        ("sizes", (9, 25, 9)),
+        ("models", (I, A, I)),
+        ("estimators", (EstimatorKind.FAST_POLY, EstimatorKind.FAST_POLY)),
+    ])
+    def test_rejects_repeated_sweep_values(self, field, values):
+        # A repeated value would report two cells under one key.
+        with pytest.raises(ValueError, match=f"{field} has a repeated value"):
+            MCConfig(**{field: values})
 
 
 class TestTrialSeed:
@@ -172,6 +185,30 @@ class TestRunCampaign:
                      c.successes, c.failures, c.mse) for c in report.cells]
 
         assert strip_timing(serial) == strip_timing(parallel)
+
+    def test_pool_has_one_worker_per_sample_cell_at_most(self, monkeypatch):
+        requested = []
+
+        class SerialPool:
+            # Records the pool size and runs the cells in this process.
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return map(fn, work)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+        cfg = MCConfig(alphas=(-1.5, -3.0), looks=(1.0,), sizes=(9,), trials=5,
+                       models=(I,), estimators=(EstimatorKind.FMOLC_SIMPLE,))
+        assert len(run_campaign(cfg, parallelism=64).cells) == 2
+        assert run_campaign(cfg, parallelism=2).cells
+        assert requested == [2, 2]
 
     def test_rejects_bad_parallelism(self):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 """Raster readers, sliding-window roughness mapping, and map export."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -123,8 +124,9 @@ class TestReadRaster:
     def test_raster_validation(self):
         with pytest.raises(ValueError, match="pixels"):
             Raster(width=2, height=2, pixels=np.ones(3), model=I, looks=1.0)
-        with pytest.raises(ValueError, match="looks"):
-            Raster(width=1, height=1, pixels=np.ones(1), model=I, looks=0.0)
+        for looks in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="looks"):
+                Raster(width=1, height=1, pixels=np.ones(1), model=I, looks=looks)
 
 
 class TestRoughnessMap:
@@ -216,7 +218,7 @@ def kernel_band(grid, model, kind, window, looks):
     """Per-window alpha, gamma and outcome code straight from the kernel."""
     logs = np.full(grid.shape, np.nan)
     np.log(grid, out=logs, where=grid > 0.0)
-    return raster._map_rows((logs, model, looks, window, kind, -15.0))
+    return raster._map_chunk(logs, model, looks, window, kind, -15.0)
 
 
 class TestMapKernel:
@@ -292,29 +294,67 @@ class TestMapKernel:
                 assert np.isnan(m.alpha[i, 2]) and m.failures[res.failure.value] > 0
         assert m.sparse_windows == 0
 
-    def test_column_spans_match_whole_row_chunks(self, monkeypatch):
-        grid, kind = kernel_scene(), EstimatorKind.FAST_POLY_CORRECTED
-        whole_rows = kernel_band(grid, I, kind, 5, 2.0)
+    @pytest.mark.parametrize("kind", [EstimatorKind.FAST_POLY_CORRECTED,
+                                      EstimatorKind.TRADITIONAL])
+    def test_column_spans_match_whole_row_chunks(self, monkeypatch, kind):
+        grid, window = kernel_scene(), 5
+        half = window // 2
+        whole = kernel_band(grid, I, kind, window, 2.0)
         monkeypatch.setattr(raster, "_CHUNK_WINDOWS", 7)  # 36 windows a row
-        spans = kernel_band(grid, I, kind, 5, 2.0)
-        for a, b in zip(whole_rows, spans):
-            np.testing.assert_array_equal(a, b)
+        chunks = len(raster._chunks(*whole[2].shape))
+        assert chunks == whole[2].shape[0] * 6
+        r = Raster(width=grid.shape[1], height=grid.shape[0], pixels=grid.ravel(),
+                   model=I, looks=2.0)
+        interval = sys.getswitchinterval()
+        for workers in (1, 2, chunks + 1):
+            # Above the chunk count, threads are also switched every
+            # microsecond while they write their slices of the output.
+            if workers > chunks:
+                sys.setswitchinterval(1e-6)
+            try:
+                m = roughness_map(r, window=window, kind=kind, parallelism=workers)
+            finally:
+                sys.setswitchinterval(interval)
+            np.testing.assert_array_equal(m.alpha[half:-half, half:-half], whole[0])
+            np.testing.assert_array_equal(m.gamma[half:-half, half:-half], whole[1])
+            assert m.sparse_windows == np.count_nonzero(whole[2] == raster._SPARSE)
+            assert m.failures == {reason.value: int(np.count_nonzero(whole[2] == c))
+                                  for c, reason in enumerate(FAILURE_CODES) if reason}
 
     @pytest.mark.parametrize("kind", [EstimatorKind.FAST_POLY_CORRECTED,
                                       EstimatorKind.TRADITIONAL])
     def test_chunk_and_worker_boundaries_do_not_matter(self, kind):
-        # 76 rows of 36 windows: chunks of 14 rows, cut differently inside
-        # each worker's band for every parallelism degree.
+        # 76 rows of 36 windows: 6 chunks of up to 14 rows, shared out among
+        # the threads differently for every parallelism degree, including
+        # more workers than chunks (traditional keeps to one thread).
         grid = kernel_scene(height=80)
         r = Raster(width=40, height=80, pixels=grid.ravel(), model=I, looks=2.0)
         serial = roughness_map(r, window=5, kind=kind)
-        assert 76 > 2 * (raster._CHUNK_WINDOWS // 36)
-        for workers in (2, 3):
+        chunks = len(raster._chunks(76, 36))
+        assert chunks == 6
+        for workers in (2, 3, chunks + 1):
             par = roughness_map(r, window=5, kind=kind, parallelism=workers)
             assert np.array_equal(serial.alpha, par.alpha, equal_nan=True)
             assert np.array_equal(serial.gamma, par.gamma, equal_nan=True)
             assert (serial.failures, serial.sparse_windows) == (par.failures,
                                                                 par.sparse_windows)
+
+    def test_thread_pool_has_one_worker_per_chunk_at_most(self, monkeypatch):
+        requested = []
+
+        class RecordingPool(raster.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(raster, "ThreadPoolExecutor", RecordingPool)
+        grid = kernel_scene(height=80)
+        r = Raster(width=40, height=80, pixels=grid.ravel(), model=I, looks=2.0)
+        for kind in (EstimatorKind.FMOLC_SIMPLE, EstimatorKind.TRADITIONAL):
+            for workers in (1, 2, 6, 7, 64):
+                roughness_map(r, window=5, kind=kind, parallelism=workers)
+        # The traditional solve holds the interpreter lock: one thread.
+        assert requested == [1, 2, 6, 6, 6] + [1] * 5
 
 
 def manual_map(alpha_rows, window=3, floor=-15.0, failures=None,
