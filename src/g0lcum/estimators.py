@@ -113,11 +113,6 @@ def _eta_variance(k2, m4, n, c_alpha):
     return (c_alpha * c_alpha / n) * (m4 - (n - 3.0) / (n - 1.0) * k2 * k2)
 
 
-def _sigma_from_log_moments(k2: float, m4: float, n: int, c_alpha: float) -> float:
-    var = _eta_variance(k2, m4, n, c_alpha)
-    return math.sqrt(var) if var > 0.0 else 0.0
-
-
 def _deep_tail_mean(eta_hat, sigma):
     """Posterior mean of eta for eta_hat / sigma < -8, where the direct form
     cancels catastrophically: t + pdf/cdf ratio equals the continued
@@ -225,8 +220,8 @@ def estimate_alpha(s: Sample, looks: float, model: ModelKind, kind: EstimatorKin
     if kind is EstimatorKind.FAST_POLY_CORRECTED:
         # Too few points to estimate the spread: degrade to the
         # point-estimate posterior rather than failing outright.
-        sigma = _sigma_from_log_moments(k2, m4, n, model.c_alpha) if n >= 4 else 0.0
-        eta = bayes_correct_eta(replace(eta, sigma=sigma))
+        var = _eta_variance(k2, m4, n, model.c_alpha) if n >= 4 else 0.0
+        eta = bayes_correct_eta(replace(eta, sigma=math.sqrt(var) if var > 0.0 else 0.0))
         alpha_hat, reason = invert_eta(eta.eta_m, kind, alpha_floor)
     else:
         alpha_hat, reason = invert_eta(eta.eta_hat, kind, alpha_floor)

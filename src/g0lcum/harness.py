@@ -22,7 +22,7 @@ from .estimators import (
     estimate_from_moments,
     log_moments,
 )
-from .model import G0Params, ModelKind, sample_g0, unit_mean_gamma
+from .model import G0Params, ModelKind, sample_g0_stack, unit_mean_gamma
 
 _DEFAULT_ALPHAS = (-1.5, -3.0, -5.0)
 _DEFAULT_LOOKS = (1.0, 3.0, 8.0)
@@ -104,10 +104,8 @@ class MCConfig:
             names = raw.get(key, [])
             if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
                 raise ValueError(f"{key} must be a list of names")
-        kwargs = {}
-        for key in ("alphas", "looks", "sizes", "trials", "seed", "alpha_floor"):
-            if key in raw:
-                kwargs[key] = raw[key]
+        kwargs = {key: raw[key] for key in ("alphas", "looks", "sizes", "trials", "seed",
+                                            "alpha_floor") if key in raw}
         if "models" in raw:
             kwargs["models"] = tuple(ModelKind.parse(m) for m in raw["models"])
         if "estimators" in raw:
@@ -156,9 +154,6 @@ class CellStats:
     def failure_count(self) -> int:
         return sum(self.failures.values())
 
-    def failure_rate(self) -> float:
-        return self.failure_count() / self.trials
-
 
 @dataclass(frozen=True)
 class MCReport:
@@ -205,14 +200,14 @@ def mse(estimates) -> float:
 
 
 def _run_sample_cell(args) -> dict:
-    """Every requested estimator on one sample cell. Each trial's sample is
-    drawn from its own seed; the trials are then estimated as one batch.
+    """Every requested estimator on one sample cell. The trials are drawn as
+    one stack, each row from its own seed, and estimated as one batch.
     The timing covers the log moments of the batch plus the estimator."""
     cfg, cell_index = args
     model, alpha, looks, n = cfg.sample_cells()[cell_index]
     params = G0Params(alpha=alpha, gamma=unit_mean_gamma(alpha), looks=looks)
-    values = np.stack([sample_g0(params, model, n, trial_seed(cfg.seed, cell_index, t)).values
-                       for t in range(cfg.trials)])
+    values = sample_g0_stack(params, model, n, [trial_seed(cfg.seed, cell_index, t)
+                                                for t in range(cfg.trials)])
     t0 = time.perf_counter_ns()
     moments = log_moments(np.log(values))
     moments_ns = time.perf_counter_ns() - t0
@@ -297,19 +292,24 @@ def _cell_from_record(rec: dict) -> CellStats:
 
 
 def read_report(path, fmt: str) -> MCReport:
-    if fmt == "csv":
-        with open(path, newline="") as fh:
+    """A report as write_report wrote it; malformed content raises
+    ValueError naming the path."""
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"unknown report format {fmt!r}")
+    with open(path, newline="") as fh:
+        if fmt == "csv":
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None or tuple(header) != _CSV_COLUMNS:
                 raise ValueError(f"{path}: unexpected report header {header!r}")
-            records = [dict(zip(_CSV_COLUMNS, row)) for row in reader]
-        for rec in records:
-            rec["looks"] = rec["L"]
-            rec["failures"] = {r.value: rec[f"fail_{r.value}"] for r in FailureReason}
-    elif fmt == "json":
-        with open(path) as fh:
-            records = json.load(fh)["cells"]
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
-    return MCReport(cells=[_cell_from_record(rec) for rec in records])
+        try:
+            if fmt == "json":
+                records = json.load(fh)["cells"]
+            else:
+                records = [dict(zip(_CSV_COLUMNS, row, strict=True)) for row in reader]
+                for rec in records:
+                    rec["looks"] = rec["L"]
+                    rec["failures"] = {r.value: rec[f"fail_{r.value}"] for r in FailureReason}
+            return MCReport(cells=[_cell_from_record(rec) for rec in records])
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: malformed report ({type(exc).__name__}: {exc})") from None

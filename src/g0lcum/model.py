@@ -134,6 +134,28 @@ def unit_mean_gamma(alpha: float) -> float:
     return -alpha - 1.0
 
 
+def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds) -> np.ndarray:
+    """sample_g0 for many seeds at once: row t of the (len(seeds), n) result
+    is sample_g0(params, model, n, seeds[t]).values. One F quantile runs
+    over the whole stack; each row redraws from its own generator."""
+    n = int(n)
+    if n < 1:
+        raise ValueError(f"sample size must be positive, got {n!r}")
+    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
+    d1, d2, scale = 2.0 * params.looks, -2.0 * params.alpha, -params.gamma / params.alpha
+
+    def draw(u: np.ndarray) -> np.ndarray:
+        u[u == 0.0] = np.nan  # boundary of the open interval; redrawn below
+        za = np.sqrt(scale * specfun.f_quantile(u, d1, d2))
+        return za * za if model is ModelKind.INTENSITY else za
+
+    z = draw(np.array([rng.random(n) for rng in rngs]).reshape(len(rngs), n))
+    for row, rng in zip(z, rngs):
+        while (bad := ~np.isfinite(row) | (row <= 0.0)).any():
+            row[bad] = draw(rng.random(int(bad.sum())))
+    return z
+
+
 def sample_g0(params: G0Params, model: ModelKind, n: int, seed: int) -> Sample:
     """n independent draws by inverse transform through the F quantile.
 
@@ -141,26 +163,7 @@ def sample_g0(params: G0Params, model: ModelKind, n: int, seed: int) -> Sample:
     identical (params, model, n, seed) always yields the identical sample.
     Uniform draws are taken from the open interval: endpoints and any
     non-finite or nonpositive transform output are redrawn."""
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"sample size must be positive, got {n!r}")
-    a, g, looks = params.alpha, params.gamma, params.looks
-    rng = np.random.Generator(np.random.Philox(seed))
-    d1, d2 = 2.0 * looks, -2.0 * a
-    scale = -g / a
-
-    def draw(count: int) -> np.ndarray:
-        u = rng.random(count)
-        u[u == 0.0] = np.nan  # boundary of the open interval; redrawn below
-        za = np.sqrt(scale * specfun.f_quantile(u, d1, d2))
-        return za * za if model is ModelKind.INTENSITY else za
-
-    z = draw(n)
-    bad = ~np.isfinite(z) | (z <= 0.0)
-    while bad.any():
-        z[bad] = draw(int(bad.sum()))
-        bad = ~np.isfinite(z) | (z <= 0.0)
-    return Sample(values=z, model=model)
+    return Sample(values=sample_g0_stack(params, model, n, [seed])[0], model=model)
 
 
 def write_sample_csv(s: Sample, path) -> None:

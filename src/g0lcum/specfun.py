@@ -115,13 +115,14 @@ def euler_mascheroni_oracle() -> float:
             - 1.0 / (120.0 * k ** 4) + 1.0 / (252.0 * k ** 6))
 
 
-# Bracket for the traditional trigamma inversion.
-_BRACKET_LO = 1e-6
-_BRACKET_HI = 1e6
+# Bracket for the traditional trigamma inversion, its image under trigamma,
+# and the refinement's residual tolerance and iteration cap.
+_BRACKET_LO, _BRACKET_HI = 1e-6, 1e6
+_BRACKET_ETA_MIN, _BRACKET_ETA_MAX = trigamma(_BRACKET_HI), trigamma(_BRACKET_LO)
+_BRACKET_TOL, _BRACKET_MAX_ITER = 1e-10, 200
 
 
-def trigamma_inverse_bracketed(eta: float, tol: float = 1e-10,
-                               max_iter: int = 200) -> float:
+def trigamma_inverse_bracketed(eta: float) -> float:
     """Solve trigamma(x) = eta for x > 0 by bracketed refinement.
 
     Raises NoBracketError when eta is nonpositive or outside the image of
@@ -129,14 +130,14 @@ def trigamma_inverse_bracketed(eta: float, tol: float = 1e-10,
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
-    if eta <= 0.0 or eta < trigamma(_BRACKET_HI) or eta > trigamma(_BRACKET_LO):
+    if not _BRACKET_ETA_MIN <= eta <= _BRACKET_ETA_MAX:
         raise NoBracketError(f"eta={eta!r} is outside the invertible bracket")
     root, info = _brentq(lambda t: trigamma(t) - eta, _BRACKET_LO, _BRACKET_HI,
                          xtol=1e-14, rtol=4.0 * np.finfo(float).eps,
-                         maxiter=max_iter, full_output=True, disp=False)
+                         maxiter=_BRACKET_MAX_ITER, full_output=True, disp=False)
     if not info.converged:
-        raise NoConvergenceError(f"no convergence after {max_iter} iterations")
-    if abs(trigamma(root) - eta) > tol * max(1.0, eta):
+        raise NoConvergenceError(f"no convergence after {_BRACKET_MAX_ITER} iterations")
+    if abs(trigamma(root) - eta) > _BRACKET_TOL * max(1.0, eta):
         raise NoConvergenceError(f"residual above tolerance at x={root!r}")
     return float(root)
 

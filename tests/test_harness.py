@@ -2,6 +2,7 @@
 per-cell aggregation, determinism across parallelism, and report round trips."""
 
 import json
+import re
 
 import pytest
 
@@ -110,11 +111,12 @@ class TestMse:
 
 class TestRunCampaign:
     def test_single_trial_matches_direct_call(self):
-        cfg = MCConfig(alphas=(-3.0,), looks=(2.0,), sizes=(100,), trials=1,
+        # The second sample cell draws from seeds keyed on its own index, 1.
+        cfg = MCConfig(alphas=(-1.5, -3.0), looks=(2.0,), sizes=(100,), trials=1,
                        models=(I,), estimators=(EstimatorKind.FAST_POLY,), seed=11)
-        cell = run_campaign(cfg).cells[0]
+        cell = run_campaign(cfg).cells[1]
         params = G0Params(-3.0, unit_mean_gamma(-3.0), 2.0)
-        s = sample_g0(params, I, 100, seed=trial_seed(11, 0, 0))
+        s = sample_g0(params, I, 100, seed=trial_seed(11, 1, 0))
         direct = estimate_alpha(s, 2.0, I, EstimatorKind.FAST_POLY)
         assert cell.trials == 1
         if direct.status is Status.OK:
@@ -230,6 +232,33 @@ def _toy_report():
     ])
 
 
+def _edit_csv_row(edit):
+    """Report text with ``edit`` applied to the fields of its first data row."""
+    def spoil(text):
+        lines = text.splitlines()
+        lines[1] = ",".join(edit(lines[1].split(",")))
+        return "\n".join(lines) + "\n"
+    return spoil
+
+
+def _edit_json(edit):
+    return lambda text: json.dumps(edit(json.loads(text)))
+
+
+def _drop_a_reason(payload):
+    del payload["cells"][0]["failures"]["DegenerateK2"]
+    return payload
+
+
+MALFORMED_REPORTS = {
+    "csv-row-two-fields-short": ("csv", _edit_csv_row(lambda fields: fields[:-2])),
+    "csv-row-two-fields-long": ("csv", _edit_csv_row(lambda fields: fields + ["1", "2"])),
+    "json-without-cells": ("json", _edit_json(lambda payload: {"rows": payload["cells"]})),
+    "json-top-level-list": ("json", _edit_json(lambda payload: payload["cells"])),
+    "json-failures-short-a-reason": ("json", _edit_json(_drop_a_reason)),
+}
+
+
 class TestMarginals:
     def test_failure_rate_by_looks(self):
         rates = _toy_report().failure_rate_by_looks()
@@ -290,3 +319,12 @@ class TestReportIO:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ValueError, match="header"):
             read_report(path, "csv")
+
+    @pytest.mark.parametrize("case", MALFORMED_REPORTS)
+    def test_malformed_report_rejected(self, tmp_path, case):
+        fmt, spoil = MALFORMED_REPORTS[case]
+        path = tmp_path / f"report.{fmt}"
+        write_report(_toy_report(), path, fmt)
+        path.write_text(spoil(path.read_text()))
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            read_report(path, fmt)

@@ -87,11 +87,11 @@ class TestScaleAndOrder:
         cfg = MCConfig(alphas=(-3.0,), looks=(LOOKS,), sizes=(25,), trials=40,
                        models=(model,), estimators=(kind,), seed=4)
         base = run_campaign(cfg).cells[0]
-        draw = harness.sample_g0
+        draw = harness.sample_g0_stack
         rng = np.random.default_rng(5)
         for change in (lambda v: v * 7.5, lambda v: v * 1e-3, rng.permutation):
-            monkeypatch.setattr(harness, "sample_g0",
-                                lambda *args: Sample(change(draw(*args).values), model))
+            monkeypatch.setattr(harness, "sample_g0_stack",
+                                lambda *args: np.array([change(row) for row in draw(*args)]))
             cell = run_campaign(cfg).cells[0]
             assert (cell.successes, cell.failures) == (base.successes, base.failures)
             if base.mse is not None:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from g0lcum import specfun
 from g0lcum import (
     G0Params,
     LogCumulants,
@@ -23,9 +24,12 @@ from g0lcum import (
     unit_mean_gamma,
     write_sample_csv,
 )
+from g0lcum.model import sample_g0_stack
 
 I = ModelKind.INTENSITY
 A = ModelKind.AMPLITUDE
+# Small and 64-bit seeds, as harness.trial_seed derives them.
+STACK_SEEDS = [0, 1, 7, 2 ** 63 + 5, 2 ** 64 - 1]
 
 
 def analytic_cdf(z, params: G0Params, model: ModelKind) -> float:
@@ -217,6 +221,54 @@ class TestSampler:
             w = za ** r
             se = w.std(ddof=1) / math.sqrt(n)
             assert abs(w.mean() - moment(pi, r, A)) < 4.0 * se
+
+
+class TestSampleStack:
+    @pytest.mark.parametrize("kind", [I, A])
+    @pytest.mark.parametrize("alpha", [-1.01, -3.0, -40.0])
+    @pytest.mark.parametrize("looks", [1.0, 8.0])
+    @pytest.mark.parametrize("n", [1, 9, 1000])
+    def test_rows_equal_sample_g0(self, kind, alpha, looks, n):
+        p = G0Params(alpha, unit_mean_gamma(alpha), looks)
+        stack = sample_g0_stack(p, kind, n, STACK_SEEDS)
+        assert stack.shape == (len(STACK_SEEDS), n)
+        for row, seed in zip(stack, STACK_SEEDS):
+            one = sample_g0(p, kind, n, seed).values
+            assert np.array_equal(row.view(np.uint64), one.view(np.uint64))
+
+    def test_forced_redraws_stay_on_their_own_rows(self, monkeypatch):
+        """The first F quantile call returns inf and 0 at chosen positions of
+        rows 1 and 3; each of those rows redraws from its own generator, so
+        it equals sample_g0 for its seed under the same forcing."""
+        p = G0Params(-3.0, unit_mean_gamma(-3.0), 2.0)
+        forced = {1: (2, 5), 3: (0, 8)}
+        real = specfun.f_quantile
+        clean = sample_g0_stack(p, I, 9, STACK_SEEDS)
+
+        def force(rows):
+            calls = []
+
+            def patched(u, d1, d2):
+                x = real(u, d1, d2)
+                if not calls:
+                    for row, (inf_col, zero_col) in rows.items():
+                        x[row, inf_col], x[row, zero_col] = np.inf, 0.0
+                calls.append(np.shape(u))
+                return x
+
+            monkeypatch.setattr(specfun, "f_quantile", patched)
+            return calls
+
+        calls = force(forced)
+        stack = sample_g0_stack(p, I, 9, STACK_SEEDS)
+        # One call over the stack, then one per row that redraws.
+        assert calls == [(len(STACK_SEEDS), 9), (2,), (2,)]
+        for t, seed in enumerate(STACK_SEEDS):
+            force({0: forced[t]} if t in forced else {})
+            one = sample_g0(p, I, 9, seed).values
+            assert np.array_equal(stack[t].view(np.uint64), one.view(np.uint64)), t
+            changed = np.flatnonzero(stack[t] != clean[t]).tolist()
+            assert changed == sorted(forced.get(t, ())), t
 
 
 class TestSampleCsv:
