@@ -97,6 +97,7 @@ def _cmd_estimate(args) -> int:
         "k2": res.cumulants.k2,
         "eta_hat": res.eta.eta_hat,
         "eta_m": res.eta.eta_m,
+        "sigma": res.eta.sigma,
     }
     print(json.dumps(payload))
     return 0

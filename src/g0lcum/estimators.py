@@ -187,19 +187,10 @@ def invert_eta(eta_value: float, kind: EstimatorKind,
         if eta_value == 0.0:
             return None, FailureReason.DEGENERATE_K2
         if eta_value < 0.0:
-            # With a nonpositive leading coefficient every term of the
-            # polynomial is nonnegative on the negative axis (the even part
-            # 35a^4 - 7a^2 + 5 has negative discriminant), so no real
-            # negative root can exist.
+            # The approximation is positive on the whole positive axis, so
+            # a negative eta has no root.
             return None, FailureReason.NO_REAL_ROOT_OR_MULTIPLE
-        try:
-            roots = specfun.solve_roughness_polynomial(eta_value)
-        except specfun.NoConvergenceError:
-            return None, FailureReason.SOLVER_NO_CONVERGENCE
-        negatives = roots.real[specfun.negative_real_mask(roots)]
-        if negatives.size != 1:
-            return None, FailureReason.NO_REAL_ROOT_OR_MULTIPLE
-        alpha = float(negatives[0])
+        alpha = -specfun.trigamma_approx_inverse(eta_value)
     if not (alpha_floor <= alpha < 0.0):
         return None, FailureReason.ROOT_OUT_OF_RANGE
     return alpha, None
@@ -256,38 +247,6 @@ def _bayes_correct_array(eta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     return eta_m
 
 
-def _invert_each(value: np.ndarray, index, kind: EstimatorKind, alpha_floor: float,
-                 alpha: np.ndarray, code: np.ndarray) -> None:
-    """Scalar invert_eta on value[i] for each i in index, into alpha and code."""
-    for i in index:
-        a, reason = invert_eta(float(value[i]), kind, alpha_floor)
-        if reason is None:
-            alpha[i] = a
-        else:
-            code[i] = _CODE[reason]
-
-
-def _invert_polynomial_array(value: np.ndarray, kind: EstimatorKind, alpha_floor: float,
-                             alpha: np.ndarray, code: np.ndarray) -> None:
-    """The polynomial branch of invert_eta over an array of eta values, into
-    alpha and code: every companion matrix goes to one stacked eigenvalue
-    solve. The floor is not applied."""
-    code[value < 0.0] = _CODE[FailureReason.NO_REAL_ROOT_OR_MULTIPLE]
-    code[value == 0.0] = _CODE[FailureReason.DEGENERATE_K2]
-    solve = np.flatnonzero(code == 0)
-    try:
-        roots = np.linalg.eigvals(specfun.roughness_companions(value[solve]))
-    except np.linalg.LinAlgError:
-        # Some matrix did not converge and the stack does not say which:
-        # the scalar solve classifies each one on its own.
-        _invert_each(value, solve, kind, alpha_floor, alpha, code)
-        return
-    negative = specfun.negative_real_mask(roots)
-    single = np.count_nonzero(negative, axis=1) == 1
-    alpha[solve[single]] = roots.real[single][negative[single]]
-    code[solve[~single]] = _CODE[FailureReason.NO_REAL_ROOT_OR_MULTIPLE]
-
-
 def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
                           kind: EstimatorKind, alpha_floor: float = -15.0):
     """Array form of estimate_alpha for many samples at once, from 1-D
@@ -297,8 +256,9 @@ def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
     success or the index of its FailureReason in FAILURE_CODES.
 
     fmolc and the polynomial estimators run on whole arrays, the latter
-    through one stacked companion-matrix eigenvalue solve; the traditional
-    estimator keeps the bracketed solver, one sample at a time."""
+    through one trigamma_approx_inverse call, as invert_eta does; the
+    traditional estimator keeps the bracketed solver, one sample at a
+    time."""
     if not (math.isfinite(looks) and looks >= 1.0):
         raise ValueError(f"looks must be >= 1, got {looks!r}")
     n = np.asarray(n)
@@ -307,7 +267,12 @@ def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
     alpha = np.full(eta.shape, np.nan)
     code = np.zeros(eta.shape, dtype=np.int8)
     if kind is EstimatorKind.TRADITIONAL:
-        _invert_each(eta, range(eta.size), kind, alpha_floor, alpha, code)
+        for i, value in enumerate(eta):
+            a, reason = invert_eta(float(value), kind, alpha_floor)
+            if reason is None:
+                alpha[i] = a
+            else:
+                code[i] = _CODE[reason]
     elif kind is EstimatorKind.FMOLC_SIMPLE:
         code[eta == 0.0] = _CODE[FailureReason.DEGENERATE_K2]
         alpha[code == 0] = -1.0 / np.sqrt(np.abs(eta[code == 0]))
@@ -319,7 +284,10 @@ def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
                 var = np.where(n >= 4, _eta_variance(k2, m4, n, model.c_alpha), 0.0)
             sigma = np.sqrt(np.maximum(var, 0.0))
             eta = _bayes_correct_array(eta, sigma)
-        _invert_polynomial_array(eta, kind, alpha_floor, alpha, code)
+        code[eta < 0.0] = _CODE[FailureReason.NO_REAL_ROOT_OR_MULTIPLE]
+        code[eta == 0.0] = _CODE[FailureReason.DEGENERATE_K2]
+        positive = eta > 0.0
+        alpha[positive] = -specfun.trigamma_approx_inverse(eta[positive])
     out_of_range = (code == 0) & ~((alpha_floor <= alpha) & (alpha < 0.0))
     code[out_of_range] = _CODE[FailureReason.ROOT_OUT_OF_RANGE]
     ok = code == 0

@@ -277,18 +277,30 @@ def write_report(report: MCReport, path, fmt: str) -> None:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
+def _count(value) -> int:
+    """A count as write_report writes it, a JSON integer or a CSV field of
+    digits; a bool, a fraction or a negative value raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)) or int(value) < 0:
+        raise ValueError(f"count {value!r} is not a nonnegative whole number")
+    return int(value)
+
+
 def _cell_from_record(rec: dict) -> CellStats:
     """One report cell from its JSON record, or from a CSV row in that shape."""
-    return CellStats(
+    cell = CellStats(
         model=ModelKind.parse(rec["model"]),
         estimator=EstimatorKind.parse(rec["estimator"]),
         alpha=float(rec["alpha"]), looks=float(rec["looks"]),
-        n=int(rec["n"]), trials=int(rec["trials"]),
-        successes=int(rec["successes"]),
-        failures={r.value: int(rec["failures"][r.value]) for r in FailureReason},
+        n=_count(rec["n"]), trials=_count(rec["trials"]),
+        successes=_count(rec["successes"]),
+        failures={r.value: _count(rec["failures"][r.value]) for r in FailureReason},
         mse=None if rec["mse"] in (None, "") else float(rec["mse"]),
         mean_time_ns=float(rec["mean_time_ns"]),
     )
+    if cell.successes + cell.failure_count() != cell.trials:
+        raise ValueError(f"{cell.successes} successes and {cell.failure_count()} failures "
+                         f"do not add up to {cell.trials} trials")
+    return cell
 
 
 def read_report(path, fmt: str) -> MCReport:

@@ -17,9 +17,8 @@ from .estimators import EstimatorKind, count_failures, estimate_from_moments, lo
 from .model import ModelKind
 
 # Windows per chunk of the map kernel. Each chunk holds copies of its
-# windows and a stack of 7x7 companion matrices; a row wider than this is
-# cut into column spans, so the chunk size, not the raster size, sets the
-# kernel's working memory.
+# windows; a row wider than this is cut into column spans, so the chunk
+# size, not the raster size, sets the kernel's working memory.
 _CHUNK_WINDOWS = 512
 # Outcome code of a window with fewer than 4 usable pixels.
 _SPARSE = -1

@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 from scipy import special as _sp
-from scipy.linalg import lapack as _lapack
 from scipy.optimize import brentq as _brentq
 
 
@@ -17,10 +16,6 @@ class NoBracketError(Exception):
 
 class NoConvergenceError(Exception):
     """Bracketed refinement hit its iteration cap without meeting tolerance."""
-
-
-class DegenerateLeadingCoefficientError(Exception):
-    """Polynomial degree collapses because the leading coefficient vanishes."""
 
 
 # Euler-Mascheroni constant, the digamma oracle's -psi(1).
@@ -142,64 +137,45 @@ def trigamma_inverse_bracketed(eta: float) -> float:
     return float(root)
 
 
-# Relative size of an imaginary part below which a computed root counts as real.
-REAL_ROOT_IM_TOL = 1e-9
+def trigamma_approx_inverse(eta):
+    """The x > 0 with T(x) = eta, for eta > 0, where T is the trigamma
+    series through x^-7, trigamma_approx less its x^-9 term:
+    T(x) = 1/x + 1/(2x^2) + 1/(6x^3) - 1/(30x^5) + 1/(42x^7).
+    The fast estimators take alpha_hat = -x. Accepts a scalar or an array;
+    a scalar gets the bits it would get as an array element.
 
+    Why there is one root and why Newton's method finds it:
+    - For x > 0, p(-x) = 210 x^7 (T(x) - eta), where p(z) = 210 eta z^7
+      + 210 z^6 - 105 z^5 + 35 z^4 - 7 z^2 + 5 is the estimators' degree-7
+      roughness polynomial, so its negative roots are exactly the solutions
+      of T(x) = eta. With w = 1/x, T(1/w) = P(w) = w + w^2/2 + w^3/6
+      - w^5/30 + w^7/42.
+    - P is strictly increasing: P'(w) = 1 + w + (w^2/6)(w^4 - w^2 + 3)
+      >= 1 for w > 0, the quadratic in w^2 having a negative discriminant.
+      With P(0) = 0, every eta > 0 has exactly one root w* > 0.
+    - P is convex: P''(w) = 1 + w (w^4 - (2/3) w^2 + 1) > 0 for w > 0.
+    - P(w) - w^7/84 = w + w^2/2 + w^3 (1/6 - v/30 + v^2/84) with v = w^2,
+      and that quadratic in v has a negative discriminant, so
+      P(w) > w^7/84 for w > 0 and w0 = (84 eta)^(1/7) lies above w*.
+    - From above the root of a convex increasing function, each Newton
+      step w <- w - (P(w) - eta)/P'(w) lands between the root and w: the
+      iterates fall monotonically onto w* without overshooting, and
+      P' >= 1 keeps every step finite.
 
-def negative_real_mask(roots: np.ndarray) -> np.ndarray:
-    """Mask of the roots, shape (7,) or (P, 7), that are real and negative.
-    A root counts as real when its imaginary part is negligible next to its
-    real part; eigenvalue noise makes exact-zero tests meaningless."""
-    real = np.abs(roots.imag) <= REAL_ROOT_IM_TOL * np.maximum(1.0, np.abs(roots.real))
-    return real & (roots.real < 0.0)
-
-
-def roughness_polynomial(eta_m: float, z: complex) -> complex:
-    """Evaluate 210*eta*z^7 + 210 z^6 - 105 z^5 + 35 z^4 - 7 z^2 + 5."""
-    return (((((((210.0 * eta_m) * z + 210.0) * z - 105.0) * z + 35.0) * z
-             + 0.0) * z - 7.0) * z + 0.0) * z + 5.0
-
-
-_COMPANION_TEMPLATE = np.zeros((7, 7), order="F")
-_COMPANION_TEMPLATE[1:, :-1] = np.eye(6)
-_COMPANION_TEMPLATE.setflags(write=False)
-
-
-def _set_monic_tail(last, inv) -> None:
-    """Write the companion matrices' last column, the negated monic
-    coefficients z^0 .. z^6 (division by 210*eta_m), into ``last`` (shape
-    (7,) or (7, P)) from inv = 1/eta_m; the zero coefficients stay as they
-    are."""
-    last[0] = -inv / 42.0
-    last[2] = inv / 30.0
-    last[4] = -inv / 6.0
-    last[5] = 0.5 * inv
-    last[6] = -inv
-
-
-def solve_roughness_polynomial(eta_m: float) -> np.ndarray:
-    """All seven roots of the roughness polynomial, sorted by real then
-    imaginary part, as eigenvalues of the companion matrix of its monic
-    normalization."""
-    eta_m = float(eta_m)
-    if not math.isfinite(eta_m) or eta_m == 0.0:
-        raise DegenerateLeadingCoefficientError(
-            f"leading coefficient 210*eta_m degenerate for eta_m={eta_m!r}")
-    comp = _COMPANION_TEMPLATE.copy(order="F")
-    _set_monic_tail(comp[:, -1], 1.0 / eta_m)
-    wr, wi, _, _, info = _lapack.dgeev(comp, compute_vl=0, compute_vr=0, overwrite_a=1)
-    if info != 0:
-        raise NoConvergenceError(f"eigenvalue iteration failed (info={info})")
-    return np.sort(wr + 1j * wi)
-
-
-def roughness_companions(eta_m: np.ndarray) -> np.ndarray:
-    """Stack (len(eta_m), 7, 7) of the companion matrices that
-    solve_roughness_polynomial builds, one per nonzero finite eta_m."""
-    inv = 1.0 / np.asarray(eta_m, dtype=float)
-    comp = np.repeat(_COMPANION_TEMPLATE[np.newaxis], inv.size, axis=0)
-    _set_monic_tail(comp[:, :, -1].T, inv)
-    return comp
+    From w0, 6 steps reach w* to rounding for eta in [1e-300, 1e300]; 8
+    are taken. The step count is fixed and the loop is plain arithmetic,
+    so a float and an array run the same operations."""
+    # numpy's pow, not Python's: the two can differ in the last bit. The
+    # loop then runs on Python floats for a scalar, which is faster.
+    w = np.power(84.0 * eta, 1.0 / 7.0)
+    if w.ndim == 0:
+        w = float(w)
+    for _ in range(8):
+        w2 = w * w
+        p = w * (1.0 + w * (0.5 + w * (1.0 / 6.0 + w2 * (w2 / 42.0 - 1.0 / 30.0))))
+        dp = 1.0 + w + w2 * (0.5 + w2 * (w2 - 1.0) / 6.0)
+        w = w - (p - eta) / dp
+    return 1.0 / w
 
 
 def f_quantile(u, d1: float, d2: float):

@@ -9,6 +9,8 @@ import pytest
 
 from g0lcum import harness
 from g0lcum.cli import main
+from g0lcum.estimators import EstimatorKind, estimate_alpha
+from g0lcum.model import ModelKind, read_sample_csv
 
 
 def run_cli(*argv):
@@ -57,22 +59,27 @@ class TestEstimate:
         out = capsys.readouterr().out
         assert len(out.splitlines()) == 1
         payload = json.loads(out)
-        assert sorted(payload) == ["alpha_hat", "elapsed_ns", "eta_hat", "eta_m",
-                                   "failure", "gamma_hat", "k1", "k2", "status"]
+        assert list(payload) == ["alpha_hat", "gamma_hat", "status", "failure", "elapsed_ns",
+                                 "k1", "k2", "eta_hat", "eta_m", "sigma"]
         assert payload["status"] == "Ok"
         assert payload["failure"] is None
         assert payload["eta_m"] is None
+        assert payload["sigma"] is None
         assert -15.0 <= payload["alpha_hat"] < 0.0
         assert payload["gamma_hat"] > 0.0
         assert payload["elapsed_ns"] > 0
 
-    def test_corrected_reports_eta_m(self, tmp_path, capsys):
+    def test_corrected_reports_eta_m_and_sigma(self, tmp_path, capsys):
         path = write_sample(tmp_path)
         capsys.readouterr()
         assert run_cli("estimate", "--in", str(path), "--looks", "2",
                        "--model", "intensity", "--estimator", "poly-corrected") == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["eta_m"] > 0.0
+        kind = ModelKind.INTENSITY
+        res = estimate_alpha(read_sample_csv(path, kind), 2.0, kind,
+                             EstimatorKind.FAST_POLY_CORRECTED)
+        assert payload["sigma"] == res.eta.sigma > 0.0
 
     def test_constant_sample_fails_in_payload_not_exit_code(self, tmp_path, capsys):
         path = tmp_path / "const.csv"

@@ -240,15 +240,12 @@ class TestInvertEta:
         assert reason is None and -15.0 <= alpha < -14.0
 
     def test_solver_level_agreement_with_bracketed_inverse(self):
-        """Unique negative polynomial root tracks the bracketed inverse
-        within 5e-3 over the deep-roughness band."""
+        """The approximation's inverse tracks the bracketed inverse within
+        5e-3 over the deep-roughness band."""
         for a in np.linspace(2.0, 15.0, 27):
             eta = specfun.trigamma(float(a))
             bracketed = -specfun.trigamma_inverse_bracketed(eta)
-            roots = specfun.solve_roughness_polynomial(eta)
-            neg = roots.real[specfun.negative_real_mask(roots)]
-            assert len(neg) == 1
-            assert abs(neg[0] - bracketed) <= 5e-3
+            assert abs(-specfun.trigamma_approx_inverse(eta) - bracketed) <= 5e-3
 
 
 class TestEstimateGamma:
@@ -412,6 +409,28 @@ class TestEstimateFromMoments:
                 assert gamma[i] == pytest.approx(res.gamma_hat, rel=1e-12, abs=0.0)
             else:
                 assert math.isnan(alpha[i]) and math.isnan(gamma[i])
+
+    @pytest.mark.parametrize("model", [I, A])
+    def test_polynomial_estimators_agree_with_the_scalar_path(self, model):
+        """From the same log moments, the array core gives poly the scalar
+        path's bits; poly-corrected's array Bayes correction may differ from
+        the scalar one in the last bit."""
+        rng = np.random.default_rng(8)
+        samples = [rng.gamma(2.0, 1.0, n) / rng.gamma(rng.uniform(1.5, 6.0), 1.0, n)
+                   for n in (3, 4, 9, 9, 25, 49, 121, 400) * 8]
+        moments = [(v.size, *map(float, log_moments(np.log(v)))) for v in samples]
+        n, k1, k2, m4 = (np.array(col) for col in zip(*moments))
+        for kind in (EstimatorKind.FAST_POLY, EstimatorKind.FAST_POLY_CORRECTED):
+            alpha, _, code = estimate_from_moments(n, k1, k2, m4, 2.0, model, kind)
+            scalar = [estimate_alpha(Sample(v, model), 2.0, model, kind) for v in samples]
+            assert [FAILURE_CODES[c] for c in code] == [res.failure for res in scalar]
+            ok = code == 0
+            assert ok.sum() > 40
+            expected = np.array([res.alpha_hat for res in scalar if res.failure is None])
+            if kind is EstimatorKind.FAST_POLY:
+                np.testing.assert_array_equal(alpha[ok], expected)
+            else:
+                np.testing.assert_allclose(alpha[ok], expected, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("looks", [0.5, math.nan, math.inf])
     def test_rejects_bad_looks(self, looks):

@@ -250,12 +250,32 @@ def _drop_a_reason(payload):
     return payload
 
 
+def _json_counts(**counts):
+    """Report text with the first JSON cell's counts replaced: n, trials,
+    successes, or a failure count by its reason."""
+    def edit(payload):
+        cell = payload["cells"][0]
+        for key, value in counts.items():
+            (cell if key in cell else cell["failures"])[key] = value
+        return payload
+    return _edit_json(edit)
+
+
 MALFORMED_REPORTS = {
     "csv-row-two-fields-short": ("csv", _edit_csv_row(lambda fields: fields[:-2])),
     "csv-row-two-fields-long": ("csv", _edit_csv_row(lambda fields: fields + ["1", "2"])),
     "json-without-cells": ("json", _edit_json(lambda payload: {"rows": payload["cells"]})),
     "json-top-level-list": ("json", _edit_json(lambda payload: payload["cells"])),
     "json-failures-short-a-reason": ("json", _edit_json(_drop_a_reason)),
+    # The first cell has 10 trials: 8 successes and 2 NegativeEta failures.
+    "json-n-not-whole": ("json", _json_counts(n=9.5)),
+    "json-trials-boolean": ("json", _json_counts(trials=True, successes=1, NegativeEta=0)),
+    "json-failure-count-not-whole": ("json", _json_counts(successes=7.5, NegativeEta=2.5)),
+    "json-negative-count": ("json", _json_counts(successes=-2, NegativeEta=12)),
+    "json-counts-do-not-add-up": ("json", _json_counts(successes=5)),
+    # Fields 6 and 7 of a CSV row are successes and fail_NegativeEta.
+    "csv-negative-count": ("csv", _edit_csv_row(lambda f: f[:6] + ["-2", "12"] + f[8:])),
+    "csv-counts-do-not-add-up": ("csv", _edit_csv_row(lambda f: f[:6] + ["5"] + f[7:])),
 }
 
 

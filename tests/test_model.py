@@ -88,6 +88,22 @@ class TestPdf:
         total, _ = quad(lambda z: pdf(p, z, I), 0.0, np.inf, limit=200)
         assert total == pytest.approx(1.0, abs=1e-6)
 
+    @pytest.mark.parametrize("model", [I, A])
+    @pytest.mark.parametrize("alpha,looks", [(-1.5, 1.0), (-3.0, 3.0), (-8.0, 8.0),
+                                             (-8.0, 1.0), (-1.5, 8.0)])
+    def test_matches_derivative_of_sampler_cdf(self, model, alpha, looks):
+        """The sampler draws intensity (-gamma/alpha) F(2L, -2 alpha) and
+        amplitude its square root, so the density is the central difference
+        of f_cdf under that transform, from the 0.1% to the 99.999% quantile."""
+        p = G0Params(alpha=alpha, gamma=2.0, looks=looks)
+        d1, d2, scale = 2.0 * looks, -2.0 * alpha, -2.0 / alpha
+        power = 1.0 if model is I else 2.0
+        for u in (1e-3, 0.05, 0.5, 0.95, 0.999, 0.99999):
+            z = (scale * specfun.f_quantile(u, d1, d2)) ** (1.0 / power)
+            h = 1e-5 * z
+            above, below = (f_cdf((z + s) ** power / scale, d1, d2) for s in (h, -h))
+            assert (above - below) / (2.0 * h) == pytest.approx(pdf(p, z, model), rel=1e-6)
+
     def test_rejects_nonpositive_argument(self):
         p = G0Params(alpha=-2.0, gamma=1.0, looks=1.0)
         with pytest.raises(ValueError):

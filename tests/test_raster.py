@@ -264,18 +264,6 @@ class TestMapKernel:
         assert m.failures["NoRealRootOrMultiple"] > 0
         assert m.n_failures == np.isnan(m.alpha[2:-2, 2:-2]).sum()
 
-    def test_eigen_solve_failure_falls_back_to_scalar_solver(self, monkeypatch):
-        grid, kind = kernel_scene(), EstimatorKind.FAST_POLY_CORRECTED
-        stacked = kernel_band(grid, I, kind, 5, 2.0)
-
-        def no_convergence(a):
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
-
-        monkeypatch.setattr(np.linalg, "eigvals", no_convergence)
-        scalar = kernel_band(grid, I, kind, 5, 2.0)
-        np.testing.assert_array_equal(stacked[2], scalar[2])
-        np.testing.assert_allclose(stacked[0], scalar[0], rtol=1e-12, atol=0.0)
-
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_raster_as_wide_as_window_with_zero_pixel(self, kind):
         # One window per row, so the strided windows fold into a view of the

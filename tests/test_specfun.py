@@ -1,6 +1,7 @@
 """Special-function layer: polygamma values against independent series
 oracles and frozen high-precision references, the inverse trigamma, the
-degree-7 roughness polynomial, and the F-distribution quantile."""
+inverse of the approximation behind the degree-7 roughness polynomial, and
+the F-distribution quantile."""
 
 import math
 
@@ -10,17 +11,13 @@ from scipy.special import psi
 
 from g0lcum import specfun
 from g0lcum.specfun import (
-    DegenerateLeadingCoefficientError,
     NoBracketError,
     f_cdf,
     f_quantile,
     ln_gamma,
-    negative_real_mask,
-    roughness_companions,
-    roughness_polynomial,
-    solve_roughness_polynomial,
     trigamma,
     trigamma_approx,
+    trigamma_approx_inverse,
     trigamma_inverse_bracketed,
 )
 
@@ -126,69 +123,71 @@ class TestTrigammaInverse:
                 trigamma_inverse_bracketed(bad)
 
 
-class TestRoughnessPolynomial:
-    def test_evaluator_matches_horner_expansion(self):
-        """p(a) = 210 eta a^7 + 210 a^6 - 105 a^5 + 35 a^4 - 7 a^2 + 5."""
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            eta = float(rng.uniform(0.01, 3.0))
-            a = float(rng.uniform(-16.0, -0.1))
-            direct = (210.0 * eta * a ** 7 + 210.0 * a ** 6 - 105.0 * a ** 5
-                      + 35.0 * a ** 4 - 7.0 * a ** 2 + 5.0)
-            assert roughness_polynomial(eta, a) == pytest.approx(direct, rel=1e-12)
+def approx_series(x: float) -> float:
+    """The trigamma series through x^-7 that trigamma_approx_inverse
+    inverts, summed exactly rounded."""
+    return math.fsum((1.0 / x, 1.0 / (2.0 * x ** 2), 1.0 / (6.0 * x ** 3),
+                      -1.0 / (30.0 * x ** 5), 1.0 / (42.0 * x ** 7)))
 
-    def test_solver_roots_annihilate_polynomial(self):
-        for eta in (0.05, 0.5, 2.0):
-            roots = solve_roughness_polynomial(eta)
-            assert roots.shape == (7,)
-            for r in roots:
-                # Scale-relative residual: coefficients are O(210 |r|^7).
-                scale = 210.0 * max(1.0, abs(r)) ** 7
-                val = (210.0 * eta * r ** 7 + 210.0 * r ** 6 - 105.0 * r ** 5
-                       + 35.0 * r ** 4 - 7.0 * r ** 2 + 5.0)
-                assert abs(val) <= 1e-9 * scale
 
+def newton_step(x: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """One more Newton step on P(w) = T(1/w) = eta from w = 1/x."""
+    w = 1.0 / x
+    p = w + w ** 2 / 2.0 + w ** 3 / 6.0 - w ** 5 / 30.0 + w ** 7 / 42.0
+    dp = 1.0 + w + w ** 2 / 2.0 - w ** 4 / 6.0 + w ** 6 / 6.0
+    return 1.0 / (w - (p - eta) / dp)
+
+
+class TestTrigammaApproxInverse:
     def test_unique_negative_real_root_frozen(self):
         # mpmath.polyroots oracle at 40 digits for eta_m = 0.5.
-        roots = solve_roughness_polynomial(0.5)
-        neg = roots.real[negative_real_mask(roots)]
-        assert len(neg) == 1
-        assert neg[0] == pytest.approx(-2.4599837508297701623, rel=1e-10)
+        assert -trigamma_approx_inverse(0.5) == pytest.approx(-2.4599837508297701623,
+                                                              rel=2e-15)
 
     def test_root_near_alpha_three(self):
         # mpmath oracle: exact negative root for eta = trigamma(3).
-        roots = solve_roughness_polynomial(trigamma(3.0))
-        neg = roots.real[negative_real_mask(roots)]
-        assert len(neg) == 1
-        assert neg[0] == pytest.approx(-3.0000089164442775458, rel=1e-10)
+        assert -trigamma_approx_inverse(trigamma(3.0)) == pytest.approx(
+            -3.0000089164442775458, rel=2e-15)
 
-    def test_single_negative_real_root_across_eta(self):
-        for eta in np.logspace(-4, 1, 40):
-            roots = solve_roughness_polynomial(float(eta))
-            neg = roots.real[negative_real_mask(roots)]
-            assert len(neg) == 1
+    def test_matches_companion_matrix_roots(self):
+        """np.roots, an eigenvalue solver, finds one negative real root of
+        210 eta z^7 + 210 z^6 - 105 z^5 + 35 z^4 - 7 z^2 + 5, and it is -x."""
+        for eta in np.logspace(-8, 8, 161):
+            roots = np.roots([210.0 * eta, 210.0, -105.0, 35.0, 0.0, -7.0, 0.0, 5.0])
+            real = np.abs(roots.imag) <= 1e-9 * np.maximum(1.0, np.abs(roots.real))
+            negative = roots.real[real & (roots.real < 0.0)]
+            assert negative.size == 1
+            x = trigamma_approx_inverse(float(eta))
+            assert abs(-negative[0] - x) <= 1e-13 * x
 
-    def test_roots_sorted_by_real_then_imaginary_part(self):
-        for eta in (0.05, 0.5, 2.0):
-            roots = solve_roughness_polynomial(eta)
-            order = sorted(range(7), key=lambda i: (roots[i].real, roots[i].imag))
-            assert order == list(range(7))
+    def test_residual_within_a_few_ulp(self):
+        # x is right to about an ulp, and an ulp of x moves T by up to 7 ulp
+        # of eta where T falls like x^-7.
+        for eta in np.logspace(-8, 8, 401):
+            x = trigamma_approx_inverse(float(eta))
+            assert abs(approx_series(x) - eta) <= 10.0 * np.spacing(eta)
 
-    def test_root_mask_on_a_stack_matches_each_row(self):
-        etas = np.logspace(-4, 1, 12)
-        stack = np.sort(np.linalg.eigvals(roughness_companions(etas)), axis=1)
-        mask = negative_real_mask(stack)
-        assert mask.shape == (12, 7)
-        for eta, row, row_mask in zip(etas, stack, mask):
-            assert np.array_equal(row_mask, negative_real_mask(row))
-            single = solve_roughness_polynomial(float(eta))
-            assert row.real[row_mask] == pytest.approx(single.real[negative_real_mask(single)],
-                                                      rel=1e-12)
+    def test_root_falls_as_eta_grows(self):
+        """alpha_hat = -x is strictly increasing in eta."""
+        x = trigamma_approx_inverse(np.logspace(-8, 8, 2001))
+        assert np.all(np.diff(x) < 0.0)
 
-    def test_degenerate_leading_coefficient(self):
-        for bad in (0.0, math.nan):
-            with pytest.raises(DegenerateLeadingCoefficientError):
-                solve_roughness_polynomial(bad)
+    def test_scalar_and_array_bits_agree(self):
+        # Dense where the estimators work: a start from Python's pow in
+        # place of numpy's changes the last bit of about 1 in 1000 of these.
+        rng = np.random.default_rng(11)
+        etas = np.concatenate([np.logspace(-300, 300, 601), np.logspace(-2.0, 0.0, 20001),
+                               10.0 ** rng.uniform(-10.0, 10.0, 2000)])
+        stacked = trigamma_approx_inverse(etas)
+        single = np.array([trigamma_approx_inverse(float(eta)) for eta in etas])
+        assert isinstance(trigamma_approx_inverse(0.5), float)
+        np.testing.assert_array_equal(stacked.view(np.int64), single.view(np.int64))
+
+    def test_converged_over_the_whole_float_range(self):
+        etas = np.logspace(-300, 300, 6001)
+        x = trigamma_approx_inverse(etas)
+        assert np.all(np.isfinite(x) & (x > 0.0))
+        assert np.max(np.abs(newton_step(x, etas) - x) / x) <= 1e-15
 
 
 class TestFQuantile:
