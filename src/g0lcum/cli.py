@@ -7,6 +7,7 @@ failures on `estimate` are payload content, not process errors."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -25,6 +26,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="g0lcum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

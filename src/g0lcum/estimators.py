@@ -81,29 +81,39 @@ class EstimateResult:
     eta: EtaEstimate | None = None
 
 
-def log_moments(logs):
+def log_moments(logs, usable=None):
     """Mean k1 and second and fourth central moments k2 and m4 (divisor n,
     center then square) of ``logs`` along its last axis, for one sample or a
     stack of them. A sample of equal values gets k2 = m4 = 0 exactly: its
-    centering residue is no spread."""
+    centering residue is no spread.
+
+    Given a boolean mask ``usable`` like ``logs``, a sample is its true
+    entries alone (the others may be NaN) and n is their count, so samples
+    of any sizes share one pass; a fully usable one keeps the unmasked bits."""
     logs = np.asarray(logs, dtype=float)
-    n = logs.shape[-1]
-    k1 = np.add.reduce(logs, axis=-1) / n
-    d = logs - k1[..., np.newaxis]
+    if usable is None:
+        n = logs.shape[-1]
+        k1 = np.add.reduce(logs, axis=-1) / n
+        d = logs - k1[..., np.newaxis]
+    else:
+        n = np.count_nonzero(usable, axis=-1)
+        d = np.where(usable, logs, 0.0)
+        k1 = np.add.reduce(d, axis=-1) / n
+        d -= k1[..., np.newaxis]
+        d *= usable
     d *= d
     k2 = np.add.reduce(d, axis=-1) / n
     d *= d
     m4 = np.add.reduce(d, axis=-1) / n
     # The mean of n equal values is off by at most n*eps relative, so a
     # constant sample's k2 is below this bound; only the samples below it
-    # get a second pass over their data.
+    # get a second pass over their usable data.
     near = k2 <= (n * _EPS * k1) ** 2
     if np.count_nonzero(near):
-        rows = np.flatnonzero(near)
-        flat = np.zeros(near.size, dtype=bool)
-        checked = logs.reshape(-1, n)[rows]
-        flat[rows] = checked.min(axis=1) == checked.max(axis=1)
-        flat = flat.reshape(near.shape)
+        checked, where = logs[near], True if usable is None else usable[near]
+        flat = np.array(near)
+        flat[near] = (checked.min(axis=-1, where=where, initial=np.inf)
+                      == checked.max(axis=-1, where=where, initial=-np.inf))
         k2, m4 = np.where(flat, 0.0, k2), np.where(flat, 0.0, m4)
     return k1, k2, m4
 

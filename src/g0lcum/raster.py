@@ -181,26 +181,15 @@ def read_raster(path, fmt: str, model: ModelKind, looks: float) -> Raster:
 
 
 def _window_moments(win: np.ndarray) -> tuple:
-    """Usable count n and log_moments k1, k2, m4 of each row of ``win`` (the
-    log pixels of one window per row, NaN where a pixel is not positive), as
-    estimate_alpha takes them; k1, k2, m4 are NaN where n < 4. Fully usable
-    rows are taken as they are, and a NaN leaves its row's moments NaN.
-    Partly usable rows are grouped by n, with their usable logs packed to
-    the front of a copy, so each sum adds the same values in the same order,
-    and gives the same bits, as estimate_alpha on that window. ``win`` is
-    only read, so it may be a strided view."""
+    """Usable count n and log_moments k1, k2, m4 (NaN where n < 4) of each
+    row of ``win``, the logs of one window per row with NaN where a pixel is
+    not positive, all in one masked pass whatever their n. ``win`` is only
+    read, so it may be a strided view."""
     usable = ~np.isnan(win)
     n = np.count_nonzero(usable, axis=1)
-    k1, k2, m4 = log_moments(win)
-    partial = np.flatnonzero((n >= 4) & (n < win.shape[1]))
-    # Stable sort keeps the usable logs in window order.
-    order = np.argsort(~usable[partial], axis=1, kind="stable")
-    packed = np.take_along_axis(win[partial], order, axis=1)
-    for size in np.unique(n[partial]).tolist():
-        group = np.flatnonzero(n[partial] == size)
-        rows = partial[group]
-        k1[rows], k2[rows], m4[rows] = log_moments(packed[group, :size])
-    return n, k1, k2, m4
+    with np.errstate(invalid="ignore"):  # rows with no usable pixel: 0 / 0
+        moments = log_moments(win, usable)
+    return (n, *(np.where(n < 4, np.nan, m) for m in moments))
 
 
 def _chunks(n_rows: int, n_cols: int) -> list:
@@ -213,16 +202,14 @@ def _chunks(n_rows: int, n_cols: int) -> list:
             for r0 in range(0, n_rows, row_step) for c0 in range(0, n_cols, col_step)]
 
 
-def _map_chunk(logs, model, looks, window, kind, alpha_floor) -> tuple:
-    """Estimates and outcome codes for every full window in ``logs``, one
-    chunk's log pixels plus the window's halo, as arrays of the chunk's
-    window grid."""
-    shape = (logs.shape[0] - window + 1, logs.shape[1] - window + 1)
-    win = sliding_window_view(logs, (window, window))
-    n, k1, k2, m4 = _window_moments(win.reshape(-1, window * window))
+def _map_chunk(win, model, looks, kind, alpha_floor) -> tuple:
+    """Estimates and outcome codes for every window of ``win``, one chunk's
+    grid of windows sliced from a sliding_window_view of the log pixels, as
+    arrays of that grid."""
+    shape = win.shape[:2]
+    n, k1, k2, m4 = _window_moments(win.reshape(shape[0] * shape[1], -1))
     est = n >= 4
-    alpha = np.full(n.shape, np.nan)
-    gamma = np.full(n.shape, np.nan)
+    alpha, gamma = np.full((2, n.size), np.nan)
     code = np.full(n.shape, _SPARSE, dtype=np.int8)
     alpha[est], gamma[est], code[est] = estimate_from_moments(
         n[est], k1[est], k2[est], m4[est], looks, model, kind, alpha_floor)
@@ -235,11 +222,13 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     raster; the border frame stays absent. Zero pixels are dropped from each
     window, and windows with fewer than 4 usable pixels count as failures.
 
-    Logs are taken once over the whole raster. Its windows are cut into
+    Logs are taken once over the whole raster, and its windows cut into
     chunks that up to ``parallelism`` threads work through (one for the
-    traditional estimator), each writing only its own chunk's slice of the
-    output; every estimate depends on its own window only, so the output is
-    identical for any parallelism degree."""
+    traditional estimator), each writing only its chunk's slice of the
+    output. One masked pass gives a chunk's window moments: estimate_alpha's
+    bits where a window has no zero pixel, else the same status and
+    estimates within 1e-12 relative. Each estimate depends on its own window
+    only, so the output is identical for any parallelism degree."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
     if window > min(r.width, r.height):
@@ -251,14 +240,13 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     half = window // 2
     grid = r.grid()
     logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
-    alpha = np.full((r.height, r.width), np.nan)
-    gamma = np.full((r.height, r.width), np.nan)
-    code = np.empty((r.height - window + 1, r.width - window + 1), dtype=np.int8)
+    windows = sliding_window_view(logs, (window, window))
+    alpha, gamma = np.full((2, r.height, r.width), np.nan)
+    code = np.empty(windows.shape[:2], dtype=np.int8)
 
     def run(bounds):
         r0, r1, c0, c1 = bounds
-        a, g, c = _map_chunk(logs[r0:r1 + window - 1, c0:c1 + window - 1],
-                             r.model, r.looks, window, kind, alpha_floor)
+        a, g, c = _map_chunk(windows[r0:r1, c0:c1], r.model, r.looks, kind, alpha_floor)
         alpha[r0 + half:r1 + half, c0 + half:c1 + half] = a
         gamma[r0 + half:r1 + half, c0 + half:c1 + half] = g
         code[r0:r1, c0:c1] = c

@@ -1,13 +1,14 @@
 """Command-line binding: flag surfaces, JSON/CSV outputs, exit codes."""
 
 import json
+import re
 import shutil
 import subprocess
 
 import numpy as np
 import pytest
 
-from g0lcum import harness
+from g0lcum import cli, harness
 from g0lcum.cli import main
 from g0lcum.estimators import EstimatorKind, estimate_alpha
 from g0lcum.model import ModelKind, read_sample_csv
@@ -246,6 +247,52 @@ class TestExitCodes:
             run_cli("sample", "--alpha", "-3")
         assert exc.value.code == 1
         assert "--looks" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    def test_consecutive_calls_share_one_parser(self, tmp_path, capsys):
+        """A bad flag, a map and an estimate in one process behave as each
+        does on a freshly built parser, and the parser is built once."""
+        rng = np.random.default_rng(9)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("\n".join(",".join(f"{v:.17g}" for v in row)
+                                  for row in rng.gamma(2.0, 1.0, (9, 9))) + "\n")
+        sample = write_sample(tmp_path)
+
+        def calls(fresh):
+            outcomes = []
+            for argv in (["map", "--in", str(grid), "--format", "csv", "--window", "3",
+                          "--looks", "1", "--model", "intensity", "--bogus", "1",
+                          "--estimator", "poly", "--out", str(tmp_path / "bad.csv")],
+                         ["map", "--in", str(grid), "--format", "csv", "--window", "3",
+                          "--looks", "1", "--model", "intensity", "--estimator", "poly",
+                          "--out", str(tmp_path / "map.csv"), "--threads", "2"],
+                         ["estimate", "--in", str(sample), "--looks", "2",
+                          "--model", "intensity", "--estimator", "poly-corrected"]):
+                if fresh:
+                    cli._build_parser.cache_clear()
+                capsys.readouterr()
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+                captured = capsys.readouterr()
+                out = json.loads(captured.out) if captured.out else {}
+                out.pop("elapsed_ns", None)
+                err = re.sub(r"\d+ ns", "ns", captured.err)  # the map's note times it
+                outcomes.append((rc, out, err))
+            outcomes.append((tmp_path / "map.csv").read_bytes())
+            (tmp_path / "map.csv").unlink()
+            return outcomes
+
+        fresh = calls(fresh=True)
+        cli._build_parser.cache_clear()
+        shared = calls(fresh=False)
+        assert cli._build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [rc for rc, _, _ in shared[:3]] == [1, 0, 0]
+        assert "--bogus" in shared[0][2] and not (tmp_path / "bad.csv").exists()
+        assert shared[2][1]["status"] == "Ok"
 
 
 class TestConsoleScript:

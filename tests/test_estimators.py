@@ -126,6 +126,50 @@ class TestLogMoments:
         _, k2, m4 = log_moments(logs)
         assert k2 > 0.0 and m4 > 0.0
 
+    def test_all_true_mask_gives_the_unmasked_bits(self):
+        rng = np.random.default_rng(12)
+        for n in (3, 9, 25, 121, 1000):
+            stack = rng.standard_normal((17, n)) * 3.0 + 2.0
+            stack[3] = 1.5  # a constant row: the zero-spread pass
+            for logs in (stack[0], stack):
+                plain = log_moments(logs)
+                masked = log_moments(logs, np.ones(logs.shape, dtype=bool))
+                for a, b in zip(plain, masked):
+                    assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), n
+
+    def test_masked_rows_match_their_packed_entries(self):
+        """Rows of many different usable counts in one call, their unusable
+        entries NaN or finite: each row's moments are those of its usable
+        entries alone."""
+        rng = np.random.default_rng(13)
+        logs = rng.standard_normal((300, 121)) * 2.0 + 5.0
+        usable = rng.random(logs.shape) < rng.uniform(0.05, 1.0, (300, 1))
+        usable[:, :4] = True
+        logs[~usable & (rng.random(logs.shape) < 0.5)] = np.nan
+        n = usable.sum(axis=1)
+        assert np.unique(n).size >= 50
+        k1, k2, m4 = log_moments(logs, usable)
+        for t in range(logs.shape[0]):
+            p1, p2, p4 = log_moments(logs[t][usable[t]])
+            assert k1[t] == pytest.approx(p1, rel=1e-14, abs=0.0)
+            assert k2[t] == pytest.approx(p2, rel=1e-12, abs=0.0)
+            assert m4[t] == pytest.approx(p4, rel=1e-12, abs=0.0)
+
+    def test_masked_constant_rows_have_exactly_zero_spread(self):
+        """The zero-spread pass looks at usable entries only, so an unusable
+        entry, NaN or not, does not hide a constant row."""
+        rng = np.random.default_rng(14)
+        logs = np.full((6, 25), 0.1)
+        logs[:, 0] = [np.nan, 7.0, -3.0, np.nan, 0.1, 0.0]
+        usable = np.ones(logs.shape, dtype=bool)
+        usable[:, 0] = False
+        logs[5, 1:] = 0.0                           # a constant row of zeros
+        logs[4, 1:] += 1e-3 * rng.standard_normal(24)
+        k1, k2, m4 = log_moments(logs, usable)
+        assert k1[:4] == pytest.approx([0.1] * 4, rel=1e-14) and k1[5] == 0.0
+        assert not k2[[0, 1, 2, 3, 5]].any() and not m4[[0, 1, 2, 3, 5]].any()
+        assert k2[4] > 0.0 and m4[4] > 0.0
+
 
 class TestBayesCorrection:
     # Frozen oracles: posterior mean of a normal truncated to (0, inf),

@@ -3,17 +3,20 @@ models: scaling a sample by c leaves alpha_hat alone and scales gamma_hat
 by c (intensity) or c^2 (amplitude); reordering a sample changes nothing;
 a constant sample has exactly zero spread; and a campaign cell, which
 estimates its trials as one batch, agrees with estimate_alpha trial by
-trial."""
+trial. Roughness maps keep the first two with no-data pixels in their
+windows."""
 
 import math
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from g0lcum import harness
+from g0lcum import harness, raster
 from g0lcum.estimators import (
     FAILURE_CODES,
     EstimatorKind,
+    count_failures,
     estimate_alpha,
     estimate_from_moments,
     log_moments,
@@ -98,6 +101,57 @@ class TestScaleAndOrder:
                 assert cell.mse == pytest.approx(base.mse, rel=1e-12, abs=0.0)
 
 
+def no_data_scene(height=26, width=31, seed=15) -> np.ndarray:
+    """Heavy-tailed grid with a no-data patch and 5% scattered zero pixels."""
+    rng = np.random.default_rng(seed)
+    grid = rng.gamma(2.0, 1.0, (height, width)) / rng.gamma(3.0, 1.0, (height, width))
+    grid[5:12, 8:17] = 0.0
+    grid[rng.random(grid.shape) < 0.05] = 0.0
+    return grid
+
+
+def map_of(grid: np.ndarray, model: ModelKind, kind: EstimatorKind):
+    """A window-5 map's alpha, gamma and per-window outcome codes."""
+    r = Raster(width=grid.shape[1], height=grid.shape[0], pixels=grid.ravel(),
+               model=model, looks=LOOKS)
+    m = roughness_map(r, window=5, kind=kind)
+    logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
+    _, _, code = raster._map_chunk(sliding_window_view(logs, (5, 5)), model, LOOKS, kind,
+                                   m.alpha_floor)
+    assert m.failures == count_failures(code)
+    assert m.sparse_windows == np.count_nonzero(code == raster._SPARSE) > 0
+    return m.alpha, m.gamma, code
+
+
+@pytest.mark.parametrize("model", MODELS)
+@pytest.mark.parametrize("kind", KINDS)
+class TestMapInvariants:
+    """Scaling and transposing a raster with no-data pixels: the first
+    scales each window, the second reorders each window's pixels."""
+
+    def test_scaling_a_raster(self, model, kind):
+        grid = no_data_scene()
+        alpha, gamma, code = map_of(grid, model, kind)
+        ok = ~np.isnan(alpha)
+        assert ok.any()
+        for c in SCALES:
+            a, g, changed = map_of(grid * c, model, kind)
+            assert np.array_equal(changed, code)
+            np.testing.assert_allclose(a[ok], alpha[ok], rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(g[ok], gamma[ok] * c ** gamma_power(model),
+                                       rtol=1e-12, atol=0.0)
+
+    def test_transposing_a_raster(self, model, kind):
+        grid = no_data_scene()
+        alpha, gamma, code = map_of(grid, model, kind)
+        a, g, changed = map_of(grid.T.copy(), model, kind)
+        assert np.array_equal(changed, code.T)
+        assert np.array_equal(np.isnan(a), np.isnan(alpha.T))
+        ok = ~np.isnan(a)
+        np.testing.assert_allclose(a[ok], alpha.T[ok], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(g[ok], gamma.T[ok], rtol=1e-12, atol=0.0)
+
+
 @pytest.mark.parametrize("model", MODELS)
 @pytest.mark.parametrize("kind", KINDS)
 def test_campaign_cell_matches_per_trial_estimate_alpha(model, kind):
@@ -162,15 +216,31 @@ class TestConstantSample:
 
     @pytest.mark.parametrize("model", MODELS)
     def test_map_window(self, model):
+        """A constant raster, whole or with zero pixels that leave its six
+        window-5 windows 25, 24 or 23 usable pixels: every window has
+        exactly zero spread and fails as estimate_alpha does on its usable
+        pixels."""
         for v in self.VALUES:
-            r = Raster(width=7, height=6, pixels=np.full(42, v), model=model, looks=LOOKS)
-            for kind in KINDS:
-                m = roughness_map(r, window=5, kind=kind)
-                res = estimate_alpha(Sample(np.full(25, v), model), LOOKS, model, kind)
-                failures = {reason.value: 0 for reason in FAILURE_CODES[1:]}
-                if res.failure is None:
-                    np.testing.assert_allclose(m.alpha[2:4, 2:5], res.alpha_hat,
-                                               rtol=1e-12, atol=0.0)
-                else:
-                    failures[res.failure.value] = 2 * 3
-                assert m.failures == failures, (v, kind)
+            for zeros in ((), ((0, 0), (1, 1), (5, 6))):
+                grid = np.full((6, 7), v)
+                for ij in zeros:
+                    grid[ij] = 0.0
+                logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
+                windows = sliding_window_view(logs, (5, 5)).reshape(-1, 25)
+                n, _, k2, m4 = raster._window_moments(windows)
+                assert sorted(set(n.tolist())) == ([23, 24, 25] if zeros else [25])
+                assert not k2.any() and not m4.any(), (v, zeros)
+                r = Raster(width=7, height=6, pixels=grid.ravel(), model=model, looks=LOOKS)
+                for kind in KINDS:
+                    m = roughness_map(r, window=5, kind=kind)
+                    failures = {reason.value: 0 for reason in FAILURE_CODES[1:]}
+                    for i, j in np.ndindex(2, 3):
+                        usable = grid[i:i + 5, j:j + 5][grid[i:i + 5, j:j + 5] > 0.0]
+                        res = estimate_alpha(Sample(usable, model), LOOKS, model, kind)
+                        if res.failure is None:
+                            assert m.alpha[i + 2, j + 2] == pytest.approx(
+                                res.alpha_hat, rel=1e-12, abs=0.0)
+                        else:
+                            assert np.isnan(m.alpha[i + 2, j + 2])
+                            failures[res.failure.value] += 1
+                    assert m.failures == failures, (v, zeros, kind)

@@ -5,9 +5,17 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 from g0lcum import raster
-from g0lcum.estimators import FAILURE_CODES, EstimatorKind, FailureReason, estimate_alpha
+from g0lcum.estimators import (
+    FAILURE_CODES,
+    EstimatorKind,
+    FailureReason,
+    estimate_alpha,
+    estimate_from_moments,
+    log_moments,
+)
 from g0lcum.model import G0Params, ModelKind, Sample, sample_g0, unit_mean_gamma
 from g0lcum.raster import (
     Raster,
@@ -218,7 +226,43 @@ def kernel_band(grid, model, kind, window, looks):
     """Per-window alpha, gamma and outcome code straight from the kernel."""
     logs = np.full(grid.shape, np.nan)
     np.log(grid, out=logs, where=grid > 0.0)
-    return raster._map_chunk(logs, model, looks, window, kind, -15.0)
+    windows = sliding_window_view(logs, (window, window))
+    return raster._map_chunk(windows, model, looks, kind, -15.0)
+
+
+def scattered_zero_scene(height=30, width=40, seed=21) -> np.ndarray:
+    """Heavy-tailed grid whose scattered zero pixels thicken from none on
+    the left to 95% on the right, so most windows are partial and the usable
+    counts of 7x7 windows take nearly every value from under 4 to 49."""
+    rng = np.random.default_rng(seed)
+    grid = rng.gamma(2.0, 1.0, (height, width)) / rng.gamma(3.0, 1.0, (height, width))
+    grid[rng.random((height, width)) < np.linspace(-0.15, 0.95, width)] = 0.0
+    return grid
+
+
+def assert_matches_scalar_estimate(grid, model, kind, window, looks):
+    """Every window of the kernel against estimate_alpha on the window's
+    usable pixels. Returns the usable counts seen and the number of
+    windows in the Bayes correction's t < -8 branch."""
+    alpha, gamma, code = kernel_band(grid, model, kind, window, looks)
+    sizes, deep_tail = set(), 0
+    for (i, j), c in np.ndenumerate(code):
+        win = grid[i:i + window, j:j + window].ravel()
+        usable = win[win > 0.0]
+        sizes.add(usable.size)
+        if usable.size < 4:
+            assert c == raster._SPARSE and np.isnan(alpha[i, j]), (i, j)
+            continue
+        res = estimate_alpha(Sample(usable, model), looks, model, kind)
+        assert FAILURE_CODES[c] is res.failure, (i, j)
+        if res.failure is None:
+            assert alpha[i, j] == pytest.approx(res.alpha_hat, rel=1e-12, abs=0.0)
+            assert gamma[i, j] == pytest.approx(res.gamma_hat, rel=1e-12, abs=0.0)
+        else:
+            assert np.isnan(alpha[i, j]) and np.isnan(gamma[i, j]), (i, j)
+        if res.eta.sigma:
+            deep_tail += res.eta.eta_hat / res.eta.sigma < -8.0
+    return sizes, deep_tail
 
 
 class TestMapKernel:
@@ -229,28 +273,33 @@ class TestMapKernel:
     @pytest.mark.parametrize("model", list(ModelKind))
     @pytest.mark.parametrize("kind", list(EstimatorKind))
     def test_matches_scalar_estimate_per_window(self, model, kind):
-        grid, window, looks = kernel_scene(), 5, 2.0
-        alpha, gamma, code = kernel_band(grid, model, kind, window, looks)
-        sizes, deep_tail = set(), 0
-        for (i, j), c in np.ndenumerate(code):
-            win = grid[i:i + window, j:j + window].ravel()
-            usable = win[win > 0.0]
-            sizes.add(usable.size)
-            if usable.size < 4:
-                assert c == raster._SPARSE and np.isnan(alpha[i, j]), (i, j)
-                continue
-            res = estimate_alpha(Sample(usable, model), looks, model, kind)
-            assert FAILURE_CODES[c] is res.failure, (i, j)
-            if res.failure is None:
-                assert alpha[i, j] == pytest.approx(res.alpha_hat, rel=1e-12, abs=0.0)
-                assert gamma[i, j] == pytest.approx(res.gamma_hat, rel=1e-12, abs=0.0)
-            else:
-                assert np.isnan(alpha[i, j]) and np.isnan(gamma[i, j]), (i, j)
-            if res.eta.sigma:
-                deep_tail += res.eta.eta_hat / res.eta.sigma < -8.0
+        sizes, deep_tail = assert_matches_scalar_estimate(kernel_scene(), model, kind,
+                                                          window=5, looks=2.0)
         assert {3, 4} <= sizes
         if kind is EstimatorKind.FAST_POLY_CORRECTED:
             assert deep_tail > 0
+
+    @pytest.mark.parametrize("model", list(ModelKind))
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_scattered_zeros_match_scalar_estimate(self, model, kind):
+        """Mostly partial windows of many usable counts share one masked
+        pass; the fully usable ones keep the unmasked log_moments bits."""
+        grid, window, looks = scattered_zero_scene(), 7, 2.0
+        sizes, _ = assert_matches_scalar_estimate(grid, model, kind, window, looks)
+        assert len(sizes) >= 20 and min(sizes) < 4
+        alpha, gamma, code = kernel_band(grid, model, kind, window, looks)
+        log_grid = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
+        windows = sliding_window_view(log_grid, (window, window)).reshape(-1, window * window)
+        full = ~np.isnan(windows).any(axis=1)
+        assert 0 < np.count_nonzero(full) < full.size / 2
+        logs = windows[full]
+        _, k1, k2, m4 = raster._window_moments(windows)
+        for got, want in zip((k1[full], k2[full], m4[full]), log_moments(logs)):
+            assert got.tobytes() == want.tobytes()
+        a, g, c = estimate_from_moments(window * window, *log_moments(logs), looks, model, kind)
+        assert alpha.ravel()[full].tobytes() == a.tobytes()
+        assert gamma.ravel()[full].tobytes() == g.tobytes()
+        assert code.ravel()[full].tobytes() == c.tobytes()
 
     def test_map_counts_reasons_and_sparse_windows(self):
         grid = kernel_scene()
