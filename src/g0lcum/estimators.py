@@ -81,7 +81,7 @@ class EstimateResult:
     eta: EtaEstimate | None = None
 
 
-def log_moments(logs, usable=None):
+def log_moments(logs, usable=None, n=None):
     """Mean k1 and second and fourth central moments k2 and m4 (divisor n,
     center then square) of ``logs`` along its last axis, for one sample or a
     stack of them. A sample of equal values gets k2 = m4 = 0 exactly: its
@@ -89,14 +89,16 @@ def log_moments(logs, usable=None):
 
     Given a boolean mask ``usable`` like ``logs``, a sample is its true
     entries alone (the others may be NaN) and n is their count, so samples
-    of any sizes share one pass; a fully usable one keeps the unmasked bits."""
+    of any sizes share one pass; a fully usable one keeps the unmasked bits.
+    A caller that has already counted them passes those counts as ``n``."""
     logs = np.asarray(logs, dtype=float)
     if usable is None:
         n = logs.shape[-1]
         k1 = np.add.reduce(logs, axis=-1) / n
         d = logs - k1[..., np.newaxis]
     else:
-        n = np.count_nonzero(usable, axis=-1)
+        if n is None:
+            n = np.count_nonzero(usable, axis=-1)
         d = np.where(usable, logs, 0.0)
         k1 = np.add.reduce(d, axis=-1) / n
         d -= k1[..., np.newaxis]

@@ -13,13 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import __version__
 from .estimators import EstimatorKind, count_failures, estimate_from_moments, log_moments
 from .model import ModelKind
 
-# Windows per chunk of the map kernel. Each chunk holds copies of its
-# windows; a row wider than this is cut into column spans, so the chunk
-# size, not the raster size, sets the kernel's working memory.
+# Windows per chunk of the map's moments phase. Each chunk holds copies of
+# its windows; a row wider than this is cut into column spans, so the chunk
+# size, not the raster size, sets that phase's working memory.
 _CHUNK_WINDOWS = 512
+# Windows per estimate_from_moments call of the map's estimation phase,
+# which bounds its temporaries on large rasters.
+_ESTIMATE_WINDOWS = 16 * _CHUNK_WINDOWS
 # Outcome code of a window with fewer than 4 usable pixels.
 _SPARSE = -1
 
@@ -57,7 +61,9 @@ class Raster:
 class RoughnessMap:
     """Per-pixel estimates (NaN where absent). ``failures`` counts failed
     windows by FailureReason value; ``sparse_windows`` counts windows with
-    fewer than 4 usable pixels, which were never estimated."""
+    fewer than 4 usable pixels, which were never estimated. ``elapsed_ns``
+    times the whole map, ``moments_ns`` and ``estimate_ns`` its two
+    phases."""
 
     width: int
     height: int
@@ -69,6 +75,10 @@ class RoughnessMap:
     window: int
     estimator: EstimatorKind
     alpha_floor: float
+    model: ModelKind
+    looks: float
+    moments_ns: int
+    estimate_ns: int
 
     @property
     def n_failures(self) -> int:
@@ -112,10 +122,11 @@ def _read_pgm(path) -> tuple:
         raise RasterFormatError(f"{path}: invalid PGM dimensions or maxval")
     count = width * height
     if magic == "P2":
-        try:
-            values = np.array(data[after:].split(), dtype=float)
-        except ValueError:
-            raise RasterFormatError(f"{path}: non-numeric P2 pixel data") from None
+        samples = data[after:].split()
+        if not all(map(bytes.isdigit, samples)):
+            raise RasterFormatError(f"{path}: P2 pixel data must be unsigned "
+                                    "decimal integers")
+        values = np.array(samples, dtype=float)
     else:
         raw = data[after + 1:]  # single whitespace byte separates header from pixels
         dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
@@ -135,10 +146,14 @@ def _read_rawf32(path) -> tuple:
     try:
         with open(sidecar) as fh:
             meta = json.load(fh)
-        width, height = int(meta["width"]), int(meta["height"])
+        width, height = meta["width"], meta["height"]
     except (OSError, ValueError, KeyError, TypeError):
         raise RasterFormatError(f"{sidecar}: missing or malformed sidecar "
                                 '(expected {"width": W, "height": H})') from None
+    # type(), not isinstance(): a JSON true would pass as the int 1.
+    if not all(type(v) is int and v > 0 for v in (width, height)):
+        raise RasterFormatError(f"{sidecar}: width and height must be positive "
+                                f"integers, got {width!r} and {height!r}")
     with open(path, "rb") as fh:
         raw = fh.read()
     if len(raw) != 4 * width * height:
@@ -180,16 +195,18 @@ def read_raster(path, fmt: str, model: ModelKind, looks: float) -> Raster:
     return Raster(width=width, height=height, pixels=values, model=model, looks=looks)
 
 
-def _window_moments(win: np.ndarray) -> tuple:
-    """Usable count n and log_moments k1, k2, m4 (NaN where n < 4) of each
-    row of ``win``, the logs of one window per row with NaN where a pixel is
-    not positive, all in one masked pass whatever their n. ``win`` is only
-    read, so it may be a strided view."""
+def _window_moments(win: np.ndarray, masked: bool = True) -> tuple:
+    """Usable count n and log_moments k1, k2, m4 of each row of ``win``, the
+    logs of one window per row with NaN where a pixel is not positive, all
+    in one masked pass whatever their n; the moments of a row with n < 4
+    are not defined. With masked=False every pixel must be usable: the mask
+    is skipped and the bits are the same. ``win`` is only read."""
+    if not masked:
+        return (np.full(win.shape[0], win.shape[1]), *log_moments(win))
     usable = ~np.isnan(win)
     n = np.count_nonzero(usable, axis=1)
     with np.errstate(invalid="ignore"):  # rows with no usable pixel: 0 / 0
-        moments = log_moments(win, usable)
-    return (n, *(np.where(n < 4, np.nan, m) for m in moments))
+        return (n, *log_moments(win, usable, n))
 
 
 def _chunks(n_rows: int, n_cols: int) -> list:
@@ -202,18 +219,50 @@ def _chunks(n_rows: int, n_cols: int) -> list:
             for r0 in range(0, n_rows, row_step) for c0 in range(0, n_cols, col_step)]
 
 
-def _map_chunk(win, model, looks, kind, alpha_floor) -> tuple:
-    """Estimates and outcome codes for every window of ``win``, one chunk's
-    grid of windows sliced from a sliding_window_view of the log pixels, as
-    arrays of that grid."""
-    shape = win.shape[:2]
-    n, k1, k2, m4 = _window_moments(win.reshape(shape[0] * shape[1], -1))
-    est = n >= 4
+def _map_moments(logs: np.ndarray, window: int, parallelism: int) -> tuple:
+    """Window moments n, k1, k2, m4 of every full window of the log grid
+    ``logs`` (NaN where a pixel is not positive), as arrays of the windows'
+    grid, taken chunk by chunk on W <= ``parallelism`` threads, thread w
+    taking chunks w, w + W, w + 2W, ... A chunk whose raster footprint has
+    no NaN skips the mask."""
+    windows = sliding_window_view(logs, (window, window))
+    n = np.empty(windows.shape[:2], dtype=np.int32)
+    k1, k2, m4 = np.empty((3, *n.shape))
+    chunks = _chunks(*n.shape)
+    workers = min(parallelism, len(chunks))
+    size = max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in chunks)
+
+    def run(worker):
+        # One buffer per thread for its chunks' window copies: a fresh copy
+        # per chunk, next to log_moments' temporary, makes the allocator hand
+        # their pages back and fault them in again on every chunk, and those
+        # page faults serialize the threads.
+        buf = np.empty((size, window * window))
+        for r0, r1, c0, c1 in chunks[worker::workers]:
+            win = buf[:(r1 - r0) * (c1 - c0)]
+            np.copyto(win.reshape(r1 - r0, c1 - c0, window, window), windows[r0:r1, c0:c1])
+            masked = np.isnan(logs[r0:r1 + window - 1, c0:c1 + window - 1]).any()
+            for out, m in zip((n, k1, k2, m4), _window_moments(win, masked)):
+                out[r0:r1, c0:c1] = m.reshape(r1 - r0, c1 - c0)
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        list(pool.map(run, range(workers)))
+    return n, k1, k2, m4
+
+
+def _estimate_windows(n, k1, k2, m4, model, looks, kind, alpha_floor) -> tuple:
+    """Estimates and outcome codes of windows from their moments, arrays of
+    one shape: estimate_from_moments over the windows with n >= 4, in
+    slices of at most _ESTIMATE_WINDOWS, and code _SPARSE for the rest."""
+    est = np.flatnonzero(n >= 4)
     alpha, gamma = np.full((2, n.size), np.nan)
-    code = np.full(n.shape, _SPARSE, dtype=np.int8)
-    alpha[est], gamma[est], code[est] = estimate_from_moments(
-        n[est], k1[est], k2[est], m4[est], looks, model, kind, alpha_floor)
-    return alpha.reshape(shape), gamma.reshape(shape), code.reshape(shape)
+    code = np.full(n.size, _SPARSE, dtype=np.int8)
+    moments = [np.ravel(m) for m in (n, k1, k2, m4)]
+    for s in range(0, est.size, _ESTIMATE_WINDOWS):
+        idx = est[s:s + _ESTIMATE_WINDOWS]
+        alpha[idx], gamma[idx], code[idx] = estimate_from_moments(
+            *(m[idx] for m in moments), looks, model, kind, alpha_floor)
+    return alpha.reshape(n.shape), gamma.reshape(n.shape), code.reshape(n.shape)
 
 
 def roughness_map(r: Raster, window: int, kind: EstimatorKind,
@@ -222,13 +271,16 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     raster; the border frame stays absent. Zero pixels are dropped from each
     window, and windows with fewer than 4 usable pixels count as failures.
 
-    Logs are taken once over the whole raster, and its windows cut into
-    chunks that up to ``parallelism`` threads work through (one for the
-    traditional estimator), each writing only its chunk's slice of the
-    output. One masked pass gives a chunk's window moments: estimate_alpha's
-    bits where a window has no zero pixel, else the same status and
-    estimates within 1e-12 relative. Each estimate depends on its own window
-    only, so the output is identical for any parallelism degree."""
+    Logs are taken once over the whole raster. The map is then made in two
+    phases. First, up to ``parallelism`` threads take the window moments of
+    the kernel's chunks, each writing only its chunk's slice of map-sized
+    moment arrays: one masked pass per chunk, or an unmasked one where the
+    chunk's footprint has no zero pixel. Second, the calling thread runs
+    estimate_from_moments over all windows with at least 4 usable pixels,
+    in slices of at most _ESTIMATE_WINDOWS. A window without a zero pixel
+    gets estimate_alpha's bits, any other the same status and estimates
+    within 1e-12 relative. Every step is elementwise over windows, so the
+    output is identical for any parallelism degree."""
     if window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
     if window > min(r.width, r.height):
@@ -237,31 +289,24 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     t0 = time.perf_counter_ns()
-    half = window // 2
     grid = r.grid()
     logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
-    windows = sliding_window_view(logs, (window, window))
+    moments = _map_moments(logs, window, parallelism)
+    t1 = time.perf_counter_ns()
+    a, g, code = _estimate_windows(*moments, r.model, r.looks, kind, alpha_floor)
+    t2 = time.perf_counter_ns()
     alpha, gamma = np.full((2, r.height, r.width), np.nan)
-    code = np.empty(windows.shape[:2], dtype=np.int8)
-
-    def run(bounds):
-        r0, r1, c0, c1 = bounds
-        a, g, c = _map_chunk(windows[r0:r1, c0:c1], r.model, r.looks, kind, alpha_floor)
-        alpha[r0 + half:r1 + half, c0 + half:c1 + half] = a
-        gamma[r0 + half:r1 + half, c0 + half:c1 + half] = g
-        code[r0:r1, c0:c1] = c
-
-    chunks = _chunks(*code.shape)
-    # traditional's per-window brentq holds the interpreter lock: more threads only contend.
-    workers = 1 if kind is EstimatorKind.TRADITIONAL else min(parallelism, len(chunks))
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(run, chunks))
+    half = window // 2
+    alpha[half:half + code.shape[0], half:half + code.shape[1]] = a
+    gamma[half:half + code.shape[0], half:half + code.shape[1]] = g
     elapsed = time.perf_counter_ns() - t0
     return RoughnessMap(width=r.width, height=r.height, alpha=alpha, gamma=gamma,
                         failures=count_failures(code),
                         sparse_windows=int(np.count_nonzero(code == _SPARSE)),
                         elapsed_ns=elapsed,
-                        window=window, estimator=kind, alpha_floor=alpha_floor)
+                        window=window, estimator=kind, alpha_floor=alpha_floor,
+                        model=r.model, looks=r.looks,
+                        moments_ns=t1 - t0, estimate_ns=t2 - t1)
 
 
 def write_map(m: RoughnessMap, path, fmt: str) -> None:
@@ -276,7 +321,10 @@ def write_map(m: RoughnessMap, path, fmt: str) -> None:
                 fh.write("\n")
         meta = {"n_failures": m.n_failures, "failures": m.failures,
                 "sparse_windows": m.sparse_windows, "elapsed_ns": m.elapsed_ns,
-                "window": m.window, "estimator": m.estimator.value}
+                "window": m.window, "estimator": m.estimator.value,
+                "version": __version__, "model": m.model.value, "looks": m.looks,
+                "alpha_floor": m.alpha_floor, "moments_ns": m.moments_ns,
+                "estimate_ns": m.estimate_ns}
         with open(str(path) + ".meta.json", "w") as fh:
             json.dump(meta, fh)
     elif fmt == "pgm":

@@ -8,6 +8,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import g0lcum
 from g0lcum import cli, harness
 from g0lcum.cli import main
 from g0lcum.estimators import EstimatorKind, estimate_alpha
@@ -140,6 +141,26 @@ class TestMap:
         assert meta["window"] == 3
         assert meta["estimator"] == "poly-corrected"
 
+    @pytest.mark.parametrize("estimator", ["traditional", "poly"])
+    def test_meta_records_how_the_map_was_made(self, tmp_path, estimator):
+        rng = np.random.default_rng(6)
+        grid = tmp_path / "grid.csv"
+        grid.write_text("\n".join(",".join(f"{v:.17g}" for v in row)
+                                  for row in rng.gamma(2.0, 1.0, (9, 12))) + "\n")
+        out = tmp_path / "map.csv"
+        assert run_cli("map", "--in", str(grid), "--format", "csv", "--window", "5",
+                       "--looks", "3", "--model", "amplitude", "--estimator", estimator,
+                       "--out", str(out), "--threads", "2") == 0
+        meta = json.loads((tmp_path / "map.csv.meta.json").read_text())
+        assert list(meta) == ["n_failures", "failures", "sparse_windows", "elapsed_ns",
+                              "window", "estimator", "version", "model", "looks",
+                              "alpha_floor", "moments_ns", "estimate_ns"]
+        assert (meta["version"], meta["model"], meta["looks"], meta["alpha_floor"]) == (
+            g0lcum.__version__, "amplitude", 3.0, -15.0)
+        stages = meta["moments_ns"], meta["estimate_ns"]
+        assert all(type(t) is int and t >= 0 for t in stages)
+        assert sum(stages) <= meta["elapsed_ns"]
+
     def test_pgm_output_by_extension(self, tmp_path):
         rng = np.random.default_rng(4)
         grid = tmp_path / "grid.csv"
@@ -215,6 +236,21 @@ class TestExitCodes:
                        "--looks", looks, "--model", "intensity", "--estimator", "poly",
                        "--out", str(tmp_path / "m.csv"), "--threads", "1") == 1
         assert "looks must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("dims", ['{"width": 3.9, "height": 2}',
+                                      '{"width": true, "height": 2}',
+                                      '{"width": -3, "height": -2}'])
+    def test_malformed_rawf32_sidecar_is_io_error(self, tmp_path, capsys, dims):
+        raw = tmp_path / "img.raw"
+        np.ones(6, dtype="<f4").tofile(raw)
+        (tmp_path / "img.raw.json").write_text(dims)
+        capsys.readouterr()
+        assert run_cli("map", "--in", str(raw), "--format", "rawf32", "--window", "1",
+                       "--looks", "1", "--model", "intensity", "--estimator", "poly",
+                       "--out", str(tmp_path / "m.csv"), "--threads", "1") == 2
+        err = capsys.readouterr().err
+        assert "img.raw.json: width and height must be positive integers" in err
+        assert not (tmp_path / "m.csv").exists()
 
     def test_invalid_domain_value_is_domain_error(self, tmp_path):
         assert run_cli("sample", "--alpha", "1.0", "--looks", "2",

@@ -116,8 +116,10 @@ def map_of(grid: np.ndarray, model: ModelKind, kind: EstimatorKind):
                model=model, looks=LOOKS)
     m = roughness_map(r, window=5, kind=kind)
     logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
-    _, _, code = raster._map_chunk(sliding_window_view(logs, (5, 5)), model, LOOKS, kind,
-                                   m.alpha_floor)
+    windows = sliding_window_view(logs, (5, 5))
+    moments = raster._window_moments(windows.reshape(-1, 25))
+    _, _, code = raster._estimate_windows(*(x.reshape(windows.shape[:2]) for x in moments),
+                                          model, LOOKS, kind, m.alpha_floor)
     assert m.failures == count_failures(code)
     assert m.sparse_windows == np.count_nonzero(code == raster._SPARSE) > 0
     return m.alpha, m.gamma, code

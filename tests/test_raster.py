@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import g0lcum
 from g0lcum import raster
 from g0lcum.estimators import (
     FAILURE_CODES,
@@ -113,6 +114,27 @@ class TestReadRaster:
         (tmp_path / "img.raw.json").write_text('{"width": 3, "height": 2}')
         with pytest.raises(RasterFormatError, match="do not match"):
             read_raster(path, "rawf32", I, 1.0)
+
+    @pytest.mark.parametrize("dims", ['{"width": 3.9, "height": 2}',
+                                      '{"width": 3, "height": true}',
+                                      '{"width": "3", "height": 2}',
+                                      '{"width": 0, "height": 2}',
+                                      '{"width": -3, "height": -2}'])
+    def test_rawf32_sidecar_needs_positive_integers(self, tmp_path, dims):
+        # 3.9 once read as 3, true as 1 and "3" as 3; -3 by -2 passed the
+        # byte count.
+        path = tmp_path / "img.raw"
+        np.ones(6, dtype="<f4").tofile(path)
+        (tmp_path / "img.raw.json").write_text(dims)
+        with pytest.raises(RasterFormatError, match="img.raw.json: width and height"):
+            read_raster(path, "rawf32", I, 1.0)
+
+    @pytest.mark.parametrize("body", ["1.5 2 3 4", "1 2 1e2 4", "1 +2 3 4", "1 2 -0 4"])
+    def test_plain_pgm_samples_are_decimal_integers(self, tmp_path, body):
+        path = tmp_path / "img.pgm"
+        path.write_text(f"P2\n2 2\n255\n{body}\n")
+        with pytest.raises(RasterFormatError, match="decimal integers"):
+            read_raster(path, "pgm", I, 1.0)
 
     def test_rejects_nonfinite_and_negative_pixels(self, tmp_path):
         path = tmp_path / "img.raw"
@@ -222,12 +244,24 @@ def kernel_scene(height=30, width=40, seed=11) -> np.ndarray:
     return grid
 
 
+def log_grid(grid) -> np.ndarray:
+    return np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
+
+
 def kernel_band(grid, model, kind, window, looks):
-    """Per-window alpha, gamma and outcome code straight from the kernel."""
-    logs = np.full(grid.shape, np.nan)
-    np.log(grid, out=logs, where=grid > 0.0)
-    windows = sliding_window_view(logs, (window, window))
-    return raster._map_chunk(windows, model, looks, kind, -15.0)
+    """Per-window alpha, gamma and outcome code straight from the kernel's
+    two stages, every window through the masked moments."""
+    windows = sliding_window_view(log_grid(grid), (window, window))
+    moments = raster._window_moments(windows.reshape(-1, window * window))
+    return raster._estimate_windows(*(m.reshape(windows.shape[:2]) for m in moments),
+                                    model, looks, kind, -15.0)
+
+
+def chunked_band(grid, model, kind, window, looks):
+    """Per-window alpha, gamma and outcome code from the map's own moments
+    phase, which skips the mask on chunks whose footprint has no zero."""
+    moments = raster._map_moments(log_grid(grid), window, parallelism=1)
+    return raster._estimate_windows(*moments, model, looks, kind, -15.0)
 
 
 def scattered_zero_scene(height=30, width=40, seed=21) -> np.ndarray:
@@ -240,11 +274,11 @@ def scattered_zero_scene(height=30, width=40, seed=21) -> np.ndarray:
     return grid
 
 
-def assert_matches_scalar_estimate(grid, model, kind, window, looks):
+def assert_matches_scalar_estimate(grid, model, kind, window, looks, band=kernel_band):
     """Every window of the kernel against estimate_alpha on the window's
     usable pixels. Returns the usable counts seen and the number of
     windows in the Bayes correction's t < -8 branch."""
-    alpha, gamma, code = kernel_band(grid, model, kind, window, looks)
+    alpha, gamma, code = band(grid, model, kind, window, looks)
     sizes, deep_tail = set(), 0
     for (i, j), c in np.ndenumerate(code):
         win = grid[i:i + window, j:j + window].ravel()
@@ -288,8 +322,8 @@ class TestMapKernel:
         sizes, _ = assert_matches_scalar_estimate(grid, model, kind, window, looks)
         assert len(sizes) >= 20 and min(sizes) < 4
         alpha, gamma, code = kernel_band(grid, model, kind, window, looks)
-        log_grid = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
-        windows = sliding_window_view(log_grid, (window, window)).reshape(-1, window * window)
+        windows = sliding_window_view(log_grid(grid), (window, window))
+        windows = windows.reshape(-1, window * window)
         full = ~np.isnan(windows).any(axis=1)
         assert 0 < np.count_nonzero(full) < full.size / 2
         logs = windows[full]
@@ -363,7 +397,7 @@ class TestMapKernel:
     def test_chunk_and_worker_boundaries_do_not_matter(self, kind):
         # 76 rows of 36 windows: 6 chunks of up to 14 rows, shared out among
         # the threads differently for every parallelism degree, including
-        # more workers than chunks (traditional keeps to one thread).
+        # more workers than chunks.
         grid = kernel_scene(height=80)
         r = Raster(width=40, height=80, pixels=grid.ravel(), model=I, looks=2.0)
         serial = roughness_map(r, window=5, kind=kind)
@@ -390,8 +424,60 @@ class TestMapKernel:
         for kind in (EstimatorKind.FMOLC_SIMPLE, EstimatorKind.TRADITIONAL):
             for workers in (1, 2, 6, 7, 64):
                 roughness_map(r, window=5, kind=kind, parallelism=workers)
-        # The traditional solve holds the interpreter lock: one thread.
-        assert requested == [1, 2, 6, 6, 6] + [1] * 5
+        # Only the moments run on the pool, so every estimator gets its threads.
+        assert requested == [1, 2, 6, 6, 6] * 2
+
+    @pytest.mark.parametrize("zero", [None, "inside", "outside"])
+    def test_unmasked_chunks_match_masked_kernel(self, monkeypatch, zero):
+        """One zero pixel just inside, then just outside, each edge of one
+        chunk's raster footprint: the chunks whose footprint has no zero skip
+        the mask, and every window still matches the all-masked kernel bit
+        for bit and estimate_alpha as the masked kernel does."""
+        window, looks = 3, 2.0
+        monkeypatch.setattr(raster, "_CHUNK_WINDOWS", 5)  # 14 windows a row: spans of 5
+        r0, r1, c0, c1 = 5, 6, 5, 10                      # footprint rows 5-7, columns 5-11
+        assert (r0, r1, c0, c1) in raster._chunks(12, 14)
+        inner = [(5, 8), (7, 8), (6, 5), (6, 11), (5, 5), (7, 11)]
+        outer = [(4, 8), (8, 8), (6, 4), (6, 12), (4, 4), (8, 12)]
+        places = {None: [None], "inside": inner, "outside": outer}[zero]
+        calls = []
+        moments = raster._window_moments
+
+        def recording(win, masked=True):
+            calls.append(masked)
+            return moments(win, masked)
+
+        monkeypatch.setattr(raster, "_window_moments", recording)
+        for place in places:
+            grid = np.random.default_rng(31).gamma(2.0, 1.0, (14, 16))
+            grid /= np.random.default_rng(32).gamma(3.0, 1.0, (14, 16))
+            if place is not None:
+                grid[place] = 0.0
+            for kind in EstimatorKind:
+                calls.clear()
+                want = kernel_band(grid, I, kind, window, looks)
+                got = chunked_band(grid, I, kind, window, looks)
+                for g, w in zip(got, want):
+                    assert g.tobytes() == w.tobytes(), (place, kind)
+                # After the all-masked kernel's call, one call per chunk in
+                # order (one thread), masked where the footprint has the zero.
+                chunks = raster._chunks(12, 14)
+                assert calls[1:] == [place is not None and b[0] <= place[0] < b[1] + window - 1
+                                     and b[2] <= place[1] < b[3] + window - 1 for b in chunks]
+                assert calls[1 + chunks.index((r0, r1, c0, c1))] == (zero == "inside")
+                assert_matches_scalar_estimate(grid, I, kind, window, looks, band=chunked_band)
+
+    @pytest.mark.parametrize("kind", list(EstimatorKind))
+    def test_estimation_slices_do_not_matter(self, monkeypatch, kind):
+        grid = kernel_scene()
+        r = Raster(width=40, height=30, pixels=grid.ravel(), model=I, looks=2.0)
+        whole = roughness_map(r, window=5, kind=kind, parallelism=2)
+        monkeypatch.setattr(raster, "_ESTIMATE_WINDOWS", 3)
+        sliced = roughness_map(r, window=5, kind=kind, parallelism=2)
+        assert sliced.alpha.tobytes() == whole.alpha.tobytes()
+        assert sliced.gamma.tobytes() == whole.gamma.tobytes()
+        assert (sliced.failures, sliced.sparse_windows) == (whole.failures,
+                                                            whole.sparse_windows)
 
 
 def manual_map(alpha_rows, window=3, floor=-15.0, failures=None,
@@ -401,8 +487,9 @@ def manual_map(alpha_rows, window=3, floor=-15.0, failures=None,
     counts.update(failures or {})
     return RoughnessMap(width=alpha.shape[1], height=alpha.shape[0], alpha=alpha,
                         gamma=np.where(np.isnan(alpha), np.nan, 1.0),
-                        failures=counts, sparse_windows=sparse, elapsed_ns=1,
-                        window=window, estimator=TRAD, alpha_floor=floor)
+                        failures=counts, sparse_windows=sparse, elapsed_ns=3,
+                        window=window, estimator=TRAD, alpha_floor=floor,
+                        model=I, looks=2.0, moments_ns=1, estimate_ns=1)
 
 
 class TestWriteMap:
@@ -414,11 +501,15 @@ class TestWriteMap:
         rows = [line.split(",") for line in path.read_text().splitlines()]
         assert [[float(v) for v in row] for row in rows] == [[0.0, -2.5], [0.0, 0.0]]
         meta = json.loads((tmp_path / "map.csv.meta.json").read_text())
-        assert meta == {"n_failures": 3, "elapsed_ns": 1, "window": 3,
+        assert meta == {"n_failures": 3, "elapsed_ns": 3, "window": 3,
                         "estimator": "traditional", "sparse_windows": 2,
                         "failures": {"NegativeEta": 1, "NoRealRootOrMultiple": 0,
                                      "RootOutOfRange": 0, "SolverNoConvergence": 0,
-                                     "DegenerateK2": 0}}
+                                     "DegenerateK2": 0},
+                        "version": g0lcum.__version__, "model": "intensity", "looks": 2.0,
+                        "alpha_floor": -15.0, "moments_ns": 1, "estimate_ns": 1}
+        assert list(meta)[:6] == ["n_failures", "failures", "sparse_windows",
+                                  "elapsed_ns", "window", "estimator"]
 
     def test_golden_csv_and_pgm_bytes(self, tmp_path):
         # Bytes written by the per-element formatter this export replaced.
