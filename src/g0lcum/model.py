@@ -77,7 +77,8 @@ class Sample:
         arr = np.asarray(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a nonempty 1-D array")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        # A NaN fails both comparisons.
+        if not (0.0 < arr.min() and arr.max() < math.inf):
             raise ValueError("sample values must be finite and strictly positive")
         object.__setattr__(self, "values", arr)
 

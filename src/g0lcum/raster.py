@@ -113,6 +113,9 @@ def _read_pgm(path) -> tuple:
         w, _ = next(tokens)
         h, _ = next(tokens)
         maxval, after = next(tokens)
+        # int() alone would also take a sign and digit-group underscores.
+        if not (w.isdigit() and h.isdigit() and maxval.isdigit()):
+            raise ValueError
         width, height, maxval = int(w), int(h), int(maxval)
     except (StopIteration, ValueError, UnicodeDecodeError):
         raise RasterFormatError(f"{path}: malformed PGM header") from None
@@ -170,6 +173,9 @@ def _read_csv_grid(path) -> tuple:
             if not line:
                 continue
             try:
+                # float() alone would read the cell 1_0 as 10.0.
+                if "_" in line:
+                    raise ValueError
                 rows.append([float(tok) for tok in line.split(",")])
             except ValueError:
                 raise RasterFormatError(f"{path}:{line_no}: non-numeric cell") from None

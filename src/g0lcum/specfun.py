@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 from scipy import special as _sp
-from scipy.optimize import brentq as _brentq
+from scipy.optimize._zeros import _brentq
 
 
 class NoBracketError(Exception):
@@ -49,7 +49,11 @@ def ln_gamma(x: float) -> float:
 def trigamma(x: float) -> float:
     """Second logarithmic derivative of gamma; strictly positive and
     strictly decreasing on the positive axis."""
-    x = _check_positive(x, "x")
+    return _trigamma(_check_positive(x, "x"))
+
+
+def _trigamma(x: float) -> float:
+    """trigamma's arithmetic, unchecked: x must be a positive finite float."""
     shift = 0.0
     while x < 10.0:
         shift += 1.0 / (x * x)
@@ -121,16 +125,25 @@ def trigamma_inverse_bracketed(eta: float) -> float:
     """Solve trigamma(x) = eta for x > 0 by bracketed refinement.
 
     Raises NoBracketError when eta is nonpositive or outside the image of
-    the bracket [1e-6, 1e6]; NoConvergenceError on the iteration cap."""
+    the bracket [1e-6, 1e6]; NoConvergenceError on the iteration cap.
+
+    The refinement is Brent's method in scipy's compiled loop, the routine
+    behind scipy.optimize.brentq, called with the arguments brentq would
+    pass it, so the root is brentq's to the bit. It is reached through its
+    private name to skip brentq's Python wrapper, which runs a NaN check
+    on each of the solve's ~29 evaluations and costs more than the solve.
+    That check cannot fire here: eta is finite before the solve, and on the
+    bracket _trigamma is finite and positive, so the objective is finite.
+    For the same reason the objective calls the unchecked _trigamma."""
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
     if not _BRACKET_ETA_MIN <= eta <= _BRACKET_ETA_MAX:
         raise NoBracketError(f"eta={eta!r} is outside the invertible bracket")
-    root, info = _brentq(lambda t: trigamma(t) - eta, _BRACKET_LO, _BRACKET_HI,
-                         xtol=1e-14, rtol=4.0 * np.finfo(float).eps,
-                         maxiter=_BRACKET_MAX_ITER, full_output=True, disp=False)
-    if not info.converged:
+    root, _, _, flag = _brentq(lambda t: _trigamma(t) - eta, _BRACKET_LO, _BRACKET_HI,
+                               1e-14, 4.0 * np.finfo(float).eps, _BRACKET_MAX_ITER,
+                               (), True, False)
+    if flag != 0:
         raise NoConvergenceError(f"no convergence after {_BRACKET_MAX_ITER} iterations")
     if abs(trigamma(root) - eta) > _BRACKET_TOL * max(1.0, eta):
         raise NoConvergenceError(f"residual above tolerance at x={root!r}")

@@ -252,6 +252,18 @@ class TestExitCodes:
         assert "img.raw.json: width and height must be positive integers" in err
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("name, content", [("img.pgm", b"P2\n1_0 1\n255\n" + b"1 " * 10),
+                                               ("grid.csv", b"1_0,2\n3,4\n")])
+    def test_underscored_raster_number_is_io_error(self, tmp_path, capsys, name, content):
+        path = tmp_path / name
+        path.write_bytes(content)
+        assert run_cli("map", "--in", str(path), "--format", name.split(".")[1],
+                       "--window", "1", "--looks", "1", "--model", "intensity",
+                       "--estimator", "poly", "--out", str(tmp_path / "m.csv"),
+                       "--threads", "1") == 2
+        assert name in capsys.readouterr().err
+        assert not (tmp_path / "m.csv").exists()
+
     def test_invalid_domain_value_is_domain_error(self, tmp_path):
         assert run_cli("sample", "--alpha", "1.0", "--looks", "2",
                        "--model", "intensity", "--n", "5", "--seed", "1",

@@ -292,6 +292,39 @@ class TestInvertEta:
             assert abs(-specfun.trigamma_approx_inverse(eta) - bracketed) <= 5e-3
 
 
+class TestSolverNoConvergence:
+    """The bracketed solve's two NoConvergenceError paths, forced: Brent's
+    loop stopped by a low iteration cap, and a residual check no root can
+    pass. Every layer above reports SolverNoConvergence."""
+
+    @pytest.fixture(params=["iteration cap", "residual"])
+    def stall(self, request, monkeypatch):
+        if request.param == "iteration cap":
+            monkeypatch.setattr(specfun, "_BRACKET_MAX_ITER", 3)
+            return "no convergence after 3 iterations"
+        monkeypatch.setattr(specfun, "_BRACKET_TOL", -1.0)
+        return "residual above tolerance"
+
+    def test_every_layer_reports_it(self, stall):
+        looks, model = 2.0, I
+        eta = specfun.trigamma(3.0)
+        with pytest.raises(specfun.NoConvergenceError, match=stall):
+            specfun.trigamma_inverse_bracketed(eta)
+        assert invert_eta(eta, EstimatorKind.TRADITIONAL) == (
+            None, FailureReason.SOLVER_NO_CONVERGENCE)
+        s = two_point_sample(eta + specfun.trigamma(looks), model)
+        res = estimate_alpha(s, looks, model, EstimatorKind.TRADITIONAL)
+        assert res.status is Status.FAILED
+        assert res.failure is FailureReason.SOLVER_NO_CONVERGENCE
+        k1, k2, m4 = log_moments(np.log(s.values))
+        alpha, gamma, code = estimate_from_moments(
+            [2], [k1], [k2], [m4], looks, model, EstimatorKind.TRADITIONAL)
+        assert FAILURE_CODES[code[0]] is FailureReason.SOLVER_NO_CONVERGENCE
+        assert math.isnan(alpha[0]) and math.isnan(gamma[0])
+        # Estimators that do not run the bracketed solve are untouched.
+        assert estimate_alpha(s, looks, model, EstimatorKind.FAST_POLY).failure is None
+
+
 class TestEstimateGamma:
     def test_recovers_scale_from_exact_cumulants(self):
         for model in (I, A):

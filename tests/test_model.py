@@ -49,15 +49,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             G0Params(alpha=-2.0, gamma=1.0, looks=0.5)
 
-    def test_sample_rejects_nonpositive_and_empty(self):
-        with pytest.raises(ValueError):
-            Sample(values=np.array([1.0, 0.0]), model=I)
-        with pytest.raises(ValueError):
-            Sample(values=np.array([1.0, -2.0]), model=I)
-        with pytest.raises(ValueError):
-            Sample(values=np.array([]), model=I)
-        with pytest.raises(ValueError):
-            Sample(values=np.array([1.0, math.nan]), model=I)
+    @pytest.mark.parametrize("values, message", [
+        ([1.0, math.nan], "sample values must be finite and strictly positive"),
+        ([math.nan, 1.0], "sample values must be finite and strictly positive"),
+        ([1.0, math.inf], "sample values must be finite and strictly positive"),
+        ([-math.inf, 1.0], "sample values must be finite and strictly positive"),
+        ([1.0, 0.0], "sample values must be finite and strictly positive"),
+        ([1.0, -2.0], "sample values must be finite and strictly positive"),
+        ([], "sample must be a nonempty 1-D array"),
+        ([[1.0, 2.0], [3.0, 4.0]], "sample must be a nonempty 1-D array"),
+    ])
+    def test_sample_rejects_nonpositive_and_empty(self, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Sample(values=np.array(values), model=I)
+
+    def test_sample_stores_valid_values_unchanged(self):
+        values = [5e-324, 1e-300, 0.5, 1.0, 3.0, 1e300, np.finfo(float).max]
+        s = Sample(values=values, model=I)
+        assert s.values.dtype == np.float64
+        assert s.values.tolist() == values
 
     def test_sample_log_cumulants_reject_negative_k2(self):
         with pytest.raises(ValueError):

@@ -136,6 +136,21 @@ class TestReadRaster:
         with pytest.raises(RasterFormatError, match="decimal integers"):
             read_raster(path, "pgm", I, 1.0)
 
+    @pytest.mark.parametrize("header", ["P2 1_0 1 255", "P2 +3 1 255", "P2 3 1 2_55",
+                                        "P2 3 -1 255", "P5 3 1 +255"])
+    def test_pgm_header_numbers_are_decimal_digits(self, tmp_path, header):
+        path = tmp_path / "img.pgm"
+        path.write_bytes(header.encode() + (b"\n1 2 3\n" if header[1] == "2" else b"\n\1\2\3"))
+        with pytest.raises(RasterFormatError, match="malformed PGM header"):
+            read_raster(path, "pgm", I, 1.0)
+
+    @pytest.mark.parametrize("text", ["1_0,2\n3,4\n", "1,2\n3,4_0\n", "1,2\n_3,4\n"])
+    def test_csv_cells_have_no_underscores(self, tmp_path, text):
+        path = tmp_path / "grid.csv"
+        path.write_text(text)
+        with pytest.raises(RasterFormatError, match="non-numeric cell"):
+            read_raster(path, "csv", I, 1.0)
+
     def test_rejects_nonfinite_and_negative_pixels(self, tmp_path):
         path = tmp_path / "img.raw"
         sidecar = tmp_path / "img.raw.json"

@@ -7,11 +7,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import psi
 
 from g0lcum import specfun
 from g0lcum.specfun import (
     NoBracketError,
+    NoConvergenceError,
     f_cdf,
     f_quantile,
     ln_gamma,
@@ -121,6 +123,34 @@ class TestTrigammaInverse:
         for bad in (0.0, -0.5):
             with pytest.raises((ValueError, NoBracketError)):
                 trigamma_inverse_bracketed(bad)
+
+    def test_rejects_eta_just_outside_the_bracket(self):
+        for bad in (np.nextafter(specfun._BRACKET_ETA_MIN, 0.0),
+                    np.nextafter(specfun._BRACKET_ETA_MAX, np.inf)):
+            with pytest.raises(NoBracketError):
+                trigamma_inverse_bracketed(float(bad))
+
+    def test_equals_scipy_brentq_bit_for_bit(self):
+        """The direct call into scipy's compiled Brent loop gives brentq's
+        root to the bit, and raises exactly where that root fails the
+        residual check. Should a scipy release change the private routine
+        behind brentq, this is the test that says so."""
+        rng = np.random.default_rng(11)
+        lo, hi = specfun._BRACKET_ETA_MIN, specfun._BRACKET_ETA_MAX
+        etas = np.concatenate([np.exp(rng.uniform(np.log(lo), np.log(hi), 3000)),
+                               [trigamma(x) for x in np.linspace(1.0, 16.0, 301)],
+                               [lo, hi]])
+        compared = 0
+        for eta in map(float, etas):
+            ref = brentq(lambda t: trigamma(t) - eta, 1e-6, 1e6, xtol=1e-14,
+                         rtol=4.0 * np.finfo(float).eps, maxiter=200)
+            if abs(trigamma(ref) - eta) > specfun._BRACKET_TOL * max(1.0, eta):
+                with pytest.raises(NoConvergenceError, match="residual"):
+                    trigamma_inverse_bracketed(eta)
+            else:
+                assert trigamma_inverse_bracketed(eta) == ref
+                compared += 1
+        assert compared > 3000
 
 
 def approx_series(x: float) -> float:
