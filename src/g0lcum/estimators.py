@@ -19,6 +19,9 @@ from .model import LogCumulants, ModelKind, Sample
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = np.finfo(float).eps
+# Default lower bound of an admissible roughness estimate: a root below it
+# fails with RootOutOfRange.
+ALPHA_FLOOR = -15.0
 
 
 class EstimatorKind(enum.Enum):
@@ -172,7 +175,7 @@ def estimate_gamma(alpha_hat, k1, looks: float, model: ModelKind):
 
 
 def invert_eta(eta_value: float, kind: EstimatorKind,
-               alpha_floor: float = -15.0) -> tuple[float | None, FailureReason | None]:
+               alpha_floor: float = ALPHA_FLOOR) -> tuple[float | None, FailureReason | None]:
     """Map a transformed second log-cumulant to a roughness estimate, or
     classify why no admissible estimate exists. The corrected estimator uses
     the same polynomial route as the plain fast one."""
@@ -209,7 +212,7 @@ def invert_eta(eta_value: float, kind: EstimatorKind,
 
 
 def estimate_alpha(s: Sample, looks: float, model: ModelKind, kind: EstimatorKind,
-                   alpha_floor: float = -15.0) -> EstimateResult:
+                   alpha_floor: float = ALPHA_FLOOR) -> EstimateResult:
     """Full estimation on a raw sample: log-cumulants, eta, inversion, and
     the scale estimate on success. Failures are carried in the result, never
     thrown; timing covers everything from the log transform onward."""
@@ -260,7 +263,7 @@ def _bayes_correct_array(eta: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 
 def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
-                          kind: EstimatorKind, alpha_floor: float = -15.0):
+                          kind: EstimatorKind, alpha_floor: float = ALPHA_FLOOR):
     """Array form of estimate_alpha for many samples at once, from 1-D
     arrays of each sample's log_moments k1, k2, m4 and its size n (an array,
     or one int for samples of equal size). Returns arrays (alpha_hat,

@@ -5,17 +5,20 @@ CSV/JSON report emission."""
 from __future__ import annotations
 
 import csv
+import enum
+import functools
 import json
 import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from itertools import product
 
 import numpy as np
 
 from .estimators import (
+    ALPHA_FLOOR,
     EstimatorKind,
     FailureReason,
     count_failures,
@@ -27,7 +30,6 @@ from .model import G0Params, ModelKind, sample_g0_stack, unit_mean_gamma
 _DEFAULT_ALPHAS = (-1.5, -3.0, -5.0)
 _DEFAULT_LOOKS = (1.0, 3.0, 8.0)
 _DEFAULT_SIZES = (9, 25, 49, 121, 1000)
-_SWEEP_FIELDS = ("alphas", "looks", "sizes", "models", "estimators")
 
 
 def _is_int(x) -> bool:
@@ -48,10 +50,11 @@ class MCConfig:
     estimators: tuple = (EstimatorKind.TRADITIONAL, EstimatorKind.FMOLC_SIMPLE,
                          EstimatorKind.FAST_POLY, EstimatorKind.FAST_POLY_CORRECTED)
     seed: int = 0
-    alpha_floor: float = -15.0
+    alpha_floor: float = ALPHA_FLOOR
 
     def __post_init__(self):
-        for name in _SWEEP_FIELDS:
+        sweeps = [f.name for f in fields(self) if isinstance(f.default, tuple)]
+        for name in sweeps:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list")
         if not all(_is_real(x) for x in (*self.alphas, *self.looks, self.alpha_floor)):
@@ -73,7 +76,7 @@ class MCConfig:
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "estimators", tuple(self.estimators))
-        for name in _SWEEP_FIELDS:
+        for name in sweeps:
             values = getattr(self, name)
             if not values:
                 raise ValueError("every sweep list must be nonempty")
@@ -95,34 +98,19 @@ class MCConfig:
         raw = json.loads(text)
         if not isinstance(raw, dict):
             raise ValueError("campaign config must be a JSON object")
-        known = {"alphas", "looks", "sizes", "trials", "models", "estimators",
-                 "seed", "alpha_floor"}
-        unknown = set(raw) - known
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        for key in ("models", "estimators"):
-            names = raw.get(key, [])
-            if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
-                raise ValueError(f"{key} must be a list of names")
-        kwargs = {key: raw[key] for key in ("alphas", "looks", "sizes", "trials", "seed",
-                                            "alpha_floor") if key in raw}
-        if "models" in raw:
-            kwargs["models"] = tuple(ModelKind.parse(m) for m in raw["models"])
-        if "estimators" in raw:
-            kwargs["estimators"] = tuple(EstimatorKind.parse(e) for e in raw["estimators"])
-        return cls(**kwargs)
+        for key, kind in (("models", ModelKind), ("estimators", EstimatorKind)):
+            if key in raw:
+                names = raw[key]
+                if not (isinstance(names, list) and all(isinstance(v, str) for v in names)):
+                    raise ValueError(f"{key} must be a list of names")
+                raw[key] = tuple(kind.parse(name) for name in names)
+        return cls(**raw)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "alphas": list(self.alphas),
-            "looks": list(self.looks),
-            "sizes": list(self.sizes),
-            "trials": self.trials,
-            "models": [m.value for m in self.models],
-            "estimators": [e.value for e in self.estimators],
-            "seed": self.seed,
-            "alpha_floor": self.alpha_floor,
-        })
+        return json.dumps(asdict(self), default=lambda member: member.value)
 
     def sample_cells(self) -> list:
         """(model, alpha, looks, n) grid in enumeration order; the per-trial
@@ -199,11 +187,10 @@ def mse(estimates) -> float:
     return float(np.mean((pairs[:, 0] - pairs[:, 1]) ** 2))
 
 
-def _run_sample_cell(args) -> dict:
+def _run_sample_cell(cfg: MCConfig, cell_index: int) -> dict:
     """Every requested estimator on one sample cell. The trials are drawn as
     one stack, each row from its own seed, and estimated as one batch.
     The timing covers the log moments of the batch plus the estimator."""
-    cfg, cell_index = args
     model, alpha, looks, n = cfg.sample_cells()[cell_index]
     params = G0Params(alpha=alpha, gamma=unit_mean_gamma(alpha), looks=looks)
     values = sample_g0_stack(params, model, n, [trial_seed(cfg.seed, cell_index, t)
@@ -234,12 +221,13 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     model, then estimator, then alpha, looks and n."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    work = [(cfg, i) for i in range(len(cfg.sample_cells()))]
-    if parallelism == 1 or len(work) == 1:
-        partials = [_run_sample_cell(w) for w in work]
+    indices = range(len(cfg.sample_cells()))
+    run = functools.partial(_run_sample_cell, cfg)
+    if parallelism == 1 or len(indices) == 1:
+        partials = list(map(run, indices))
     else:
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(work))) as pool:
-            partials = list(pool.map(_run_sample_cell, work))
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(indices))) as pool:
+            partials = list(pool.map(run, indices))
     # Sample cells already run in (model, alpha, looks, n) order, and the
     # sort is stable.
     cells = sorted((stats for part in partials for stats in part.values()),
@@ -248,31 +236,37 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     return MCReport(cells=cells)
 
 
-_CSV_COLUMNS = ("model", "estimator", "alpha", "L", "n", "trials", "successes",
-                *(f"fail_{r.value}" for r in FailureReason), "mse", "mean_time_ns")
+# A CSV report names looks L and spreads failures over one column per reason.
+_CSV_COLUMNS = tuple(col for f in fields(CellStats) for col in (
+    [f"fail_{r.value}" for r in FailureReason] if f.name == "failures"
+    else ["L" if f.name == "looks" else f.name]))
+
+
+def _csv_row(rec: dict) -> list:
+    """A report cell's record as its CSV row: enum members by value, and the
+    failure counts in FailureReason order in place of the failures dict."""
+    row = []
+    for value in rec.values():
+        if isinstance(value, dict):
+            row.extend(value[r.value] for r in FailureReason)
+        else:
+            row.append(value.value if isinstance(value, enum.Enum) else value)
+    return row
 
 
 def write_report(report: MCReport, path, fmt: str) -> None:
+    """One record per cell, its fields in declaration order. JSON writes the
+    records; CSV flattens each into a row, and its writer puts floats by
+    repr and None as an empty field."""
+    records = [asdict(c) for c in report.cells]
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
-            for c in report.cells:
-                writer.writerow([
-                    c.model.value, c.estimator.value, repr(c.alpha), repr(c.looks),
-                    c.n, c.trials, c.successes,
-                    *(c.failures[r.value] for r in FailureReason),
-                    "" if c.mse is None else repr(c.mse), repr(c.mean_time_ns),
-                ])
+            writer.writerows(map(_csv_row, records))
     elif fmt == "json":
-        payload = {"cells": [{
-            "model": c.model.value, "estimator": c.estimator.value,
-            "alpha": c.alpha, "looks": c.looks, "n": c.n, "trials": c.trials,
-            "successes": c.successes, "failures": c.failures,
-            "mse": c.mse, "mean_time_ns": c.mean_time_ns,
-        } for c in report.cells]}
         with open(path, "w") as fh:
-            json.dump(payload, fh)
+            json.dump({"cells": records}, fh, default=lambda member: member.value)
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 

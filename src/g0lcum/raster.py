@@ -14,7 +14,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import __version__
-from .estimators import EstimatorKind, count_failures, estimate_from_moments, log_moments
+from .estimators import (
+    ALPHA_FLOOR,
+    EstimatorKind,
+    count_failures,
+    estimate_from_moments,
+    log_moments,
+)
 from .model import ModelKind
 
 # Windows per chunk of the map's moments phase. Each chunk holds copies of
@@ -272,7 +278,7 @@ def _estimate_windows(n, k1, k2, m4, model, looks, kind, alpha_floor) -> tuple:
 
 
 def roughness_map(r: Raster, window: int, kind: EstimatorKind,
-                  parallelism: int = 1, alpha_floor: float = -15.0) -> RoughnessMap:
+                  parallelism: int = 1, alpha_floor: float = ALPHA_FLOOR) -> RoughnessMap:
     """Per-pixel roughness over every pixel whose full window fits in the
     raster; the border frame stays absent. Zero pixels are dropped from each
     window, and windows with fewer than 4 usable pixels count as failures.

@@ -348,3 +348,54 @@ class TestReportIO:
         path.write_text(spoil(path.read_text()))
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_report(path, fmt)
+
+
+class TestGoldenBytes:
+    """The exact bytes of campaign artifacts, so a refactor of the writers
+    cannot change what a campaign publishes."""
+
+    def test_toy_report_csv(self, tmp_path):
+        path = tmp_path / "report.csv"
+        write_report(_toy_report(), path, "csv")
+        assert path.read_bytes() == (
+            b"model,estimator,alpha,L,n,trials,successes,fail_NegativeEta,"
+            b"fail_NoRealRootOrMultiple,fail_RootOutOfRange,fail_SolverNoConvergence,"
+            b"fail_DegenerateK2,mse,mean_time_ns\r\n"
+            b"intensity,traditional,-3.0,1.0,9,10,8,2,0,0,0,0,0.5,100.0\r\n"
+            b"intensity,traditional,-3.0,3.0,9,10,10,0,0,0,0,0,0.25,200.0\r\n"
+            b"intensity,poly,-3.0,1.0,25,10,6,4,0,0,0,0,,300.0\r\n")
+
+    def test_toy_report_json(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_report(_toy_report(), path, "json")
+
+        def cell(estimator, looks, n, successes, neg, mse_val, time_ns):
+            return (f'{{"model": "intensity", "estimator": "{estimator}", "alpha": -3.0, '
+                    f'"looks": {looks}, "n": {n}, "trials": 10, "successes": {successes}, '
+                    f'"failures": {{"NegativeEta": {neg}, "NoRealRootOrMultiple": 0, '
+                    f'"RootOutOfRange": 0, "SolverNoConvergence": 0, "DegenerateK2": 0}}, '
+                    f'"mse": {mse_val}, "mean_time_ns": {time_ns}}}')
+
+        assert path.read_bytes() == ('{"cells": [' + ", ".join([
+            cell("traditional", "1.0", 9, 8, 2, "0.5", "100.0"),
+            cell("traditional", "3.0", 9, 10, 0, "0.25", "200.0"),
+            cell("poly", "1.0", 25, 6, 4, "null", "300.0"),
+        ]) + "]}").encode()
+
+    def test_default_config_json(self):
+        assert MCConfig().to_json() == (
+            '{"alphas": [-1.5, -3.0, -5.0], "looks": [1.0, 3.0, 8.0], '
+            '"sizes": [9, 25, 49, 121, 1000], "trials": 1000, '
+            '"models": ["intensity", "amplitude"], '
+            '"estimators": ["traditional", "fmolc", "poly", "poly-corrected"], '
+            '"seed": 0, "alpha_floor": -15.0}')
+
+    def test_custom_config_json(self):
+        cfg = MCConfig(alphas=(-2.0, -7.25), looks=(4.0,), sizes=(25, 49), trials=7,
+                       models=(A,), estimators=(EstimatorKind.FAST_POLY_CORRECTED,
+                                                EstimatorKind.TRADITIONAL),
+                       seed=99, alpha_floor=-20.5)
+        assert cfg.to_json() == (
+            '{"alphas": [-2.0, -7.25], "looks": [4.0], "sizes": [25, 49], "trials": 7, '
+            '"models": ["amplitude"], "estimators": ["poly-corrected", "traditional"], '
+            '"seed": 99, "alpha_floor": -20.5}')
