@@ -1,8 +1,9 @@
 """Command-line surface: synthetic sampling, single-sample estimation,
 Monte Carlo campaigns, roughness maps, and the special-function self-check.
 
-Exit codes: 0 success, 1 domain/validation error, 2 I/O error. Estimation
-failures on `estimate` are payload content, not process errors."""
+Exit codes: 0 success, 1 domain/validation error or out of memory, 2 I/O
+error. Estimation failures on `estimate` are payload content, not process
+errors."""
 
 from __future__ import annotations
 
@@ -160,6 +161,11 @@ def main(argv=None) -> int:
         return handlers[args.command](args)
     except (ValueError, model.MomentUndefinedError) as exc:
         print(f"g0lcum: error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the allocation it could not make.
+        print(f"g0lcum: error: out of memory: {str(exc) or 'allocation failed'}",
+              file=sys.stderr)
         return 1
     except (OSError, RuntimeError, raster.RasterFormatError) as exc:
         print(f"g0lcum: i/o error: {exc}", file=sys.stderr)

@@ -272,11 +272,13 @@ def write_report(report: MCReport, path, fmt: str) -> None:
 
 
 def _count(value) -> int:
-    """A count as write_report writes it, a JSON integer or a CSV field of
-    digits; a bool, a fraction or a negative value raises ValueError."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)) or int(value) < 0:
-        raise ValueError(f"count {value!r} is not a nonnegative whole number")
-    return int(value)
+    """A count as write_report writes it, a nonnegative JSON integer (not a
+    bool) or a CSV field of ASCII digits (int() alone would also take a sign,
+    spaces and digit-group underscores); anything else raises ValueError."""
+    if type(value) is int and value >= 0 or (
+            isinstance(value, str) and value.isascii() and value.isdigit()):
+        return int(value)
+    raise ValueError(f"count {value!r} is not a nonnegative whole number")
 
 
 def _cell_from_record(rec: dict) -> CellStats:
@@ -314,6 +316,9 @@ def read_report(path, fmt: str) -> MCReport:
             else:
                 records = [dict(zip(_CSV_COLUMNS, row, strict=True)) for row in reader]
                 for rec in records:
+                    # float() alone would read the field 1_0 as 10.0.
+                    if any("_" in field for field in rec.values()):
+                        raise ValueError(f"a field has an underscore: {rec!r}")
                     rec["looks"] = rec["L"]
                     rec["failures"] = {r.value: rec[f"fail_{r.value}"] for r in FailureReason}
             return MCReport(cells=[_cell_from_record(rec) for rec in records])

@@ -187,5 +187,12 @@ def read_sample_csv(path, model: ModelKind) -> Sample:
                 continue
             if len(row) != 1:
                 raise ValueError(f"{path}: expected one value per row, got {row!r}")
-            values.append(float(row[0]))
+            try:
+                # float() alone would read the value 1_0 as 10.0.
+                if "_" in row[0]:
+                    raise ValueError
+                values.append(float(row[0]))
+            except ValueError:
+                raise ValueError(f"{path}:{reader.line_num}: non-numeric value "
+                                 f"{row[0]!r}") from None
     return Sample(values=np.array(values, dtype=float), model=model)

@@ -264,6 +264,34 @@ class TestExitCodes:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
+    @pytest.mark.parametrize("value", ["1_0", "abc"])
+    def test_malformed_sample_value_is_domain_error(self, tmp_path, capsys, value):
+        path = tmp_path / "s.csv"
+        path.write_text("z\n" + "2.5\n" * 8 + f"{value}\n")
+        assert run_cli("estimate", "--in", str(path), "--looks", "1",
+                       "--model", "intensity", "--estimator", "poly") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"g0lcum: error: {path}:10: non-numeric value {value!r}\n"
+
+    @pytest.mark.parametrize("exc, detail", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array with shape "
+                     "(1000000000000,) and data type float64"),
+         "Unable to allocate 7.28 TiB for an array with shape (1000000000000,) "
+         "and data type float64"),
+        (MemoryError(), "allocation failed")])
+    def test_out_of_memory_exits_1_in_one_line(self, tmp_path, capsys, monkeypatch,
+                                                exc, detail):
+        def fail(*args):
+            raise exc
+
+        monkeypatch.setattr(g0lcum.model, "sample_g0", fail)
+        assert run_cli("sample", "--alpha", "-3", "--looks", "2", "--model", "intensity",
+                       "--n", "1000000000000", "--seed", "1",
+                       "--out", str(tmp_path / "s.csv")) == 1
+        assert capsys.readouterr().err == f"g0lcum: error: out of memory: {detail}\n"
+        assert not (tmp_path / "s.csv").exists()
+
     def test_invalid_domain_value_is_domain_error(self, tmp_path):
         assert run_cli("sample", "--alpha", "1.0", "--looks", "2",
                        "--model", "intensity", "--n", "5", "--seed", "1",

@@ -276,6 +276,11 @@ MALFORMED_REPORTS = {
     # Fields 6 and 7 of a CSV row are successes and fail_NegativeEta.
     "csv-negative-count": ("csv", _edit_csv_row(lambda f: f[:6] + ["-2", "12"] + f[8:])),
     "csv-counts-do-not-add-up": ("csv", _edit_csv_row(lambda f: f[:6] + ["5"] + f[7:])),
+    # int() and float() alone would read each of these as the written value.
+    "csv-count-underscored": ("csv", _edit_csv_row(lambda f: f[:5] + ["1_0"] + f[6:])),
+    "csv-count-spaced": ("csv", _edit_csv_row(lambda f: f[:6] + [" 8"] + f[7:])),
+    "csv-count-signed": ("csv", _edit_csv_row(lambda f: f[:7] + ["+2"] + f[8:])),
+    "csv-alpha-underscored": ("csv", _edit_csv_row(lambda f: f[:2] + ["-0_3.0"] + f[3:])),
 }
 
 

@@ -2,6 +2,7 @@
 synthetic sampler for both the intensity and amplitude variants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -311,4 +312,12 @@ class TestSampleCsv:
         path = tmp_path / "bad.csv"
         path.write_text("value\n1.0\n")
         with pytest.raises(ValueError):
+            read_sample_csv(path, I)
+
+    @pytest.mark.parametrize("value", ["1_0", "2.5_1", "1e1_0", "abc"])
+    def test_rejects_malformed_value_naming_the_file(self, tmp_path, value):
+        # float() alone would read the underscored values as numbers.
+        path = tmp_path / "bad.csv"
+        path.write_text(f"z\n1.5\n{value}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-numeric value")):
             read_sample_csv(path, I)
