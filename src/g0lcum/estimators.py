@@ -124,8 +124,27 @@ def log_moments(logs, usable=None, n=None):
 
 
 def _eta_variance(k2, m4, n, c_alpha):
-    """Estimated variance of eta_hat; scalars or arrays."""
-    return (c_alpha * c_alpha / n) * (m4 - (n - 3.0) / (n - 1.0) * k2 * k2)
+    """Estimated variance of eta_hat = c_alpha * k2 - trigamma(looks) from a
+    sample's log moments k2, m4 (divisor n) and its size n >= 4; scalars or
+    arrays.
+
+    The variance of the unbiased sample variance of n values is
+    kappa4/n + 2 kappa2^2/(n-1), for the population cumulants kappa2 and
+    kappa4 of their distribution, so eta_hat's is c_alpha^2 times that.
+    Fisher's k-statistics are the unbiased estimates of those cumulants
+    from the divisor-n central moments:
+
+        K2 = n/(n-1) k2,
+        K4 = n^2 ((n+1) m4 - 3(n-1) k2^2) / ((n-1)(n-2)(n-3)).
+
+    Plugging in k2 and m4 - 3 k2^2 instead understates both at small n.
+    Both K2 and K4 are location-invariant and vanish on a constant sample,
+    and K4 needs n >= 4. The estimate can be negative, as K4 can; callers
+    take a negative one as zero spread."""
+    r = n / (n - 1.0)  # float, also for integer n
+    k2_fisher = r * k2
+    k4_fisher = r * n / ((n - 2.0) * (n - 3.0)) * ((n + 1.0) * m4 - 3.0 * (n - 1.0) * k2 * k2)
+    return c_alpha * c_alpha * (k4_fisher / n + 2.0 * k2_fisher * k2_fisher / (n - 1.0))
 
 
 def _deep_tail_mean(eta_hat, sigma):

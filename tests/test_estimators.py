@@ -81,6 +81,26 @@ class TestEtaSigma:
         s = Sample(values=np.exp(rng.standard_normal(n)), model=I)
         assert sigma_of(s, I) == pytest.approx(math.sqrt(2.0 / n), rel=0.05)
 
+    @pytest.mark.parametrize("model", [I, A])
+    def test_fisher_k_statistics_on_a_small_sample(self, model):
+        """Logs (0, 1, 1, 2, 6) ln2, n = 5: mean 2, so in powers of ln2
+        k2 = (4+1+1+0+16)/5 = 22/5 and m4 = (16+1+1+0+256)/5 = 274/5. Then
+        K2 = 5/4 * 22/5 = 11/2, K4 = 25 (6 * 274/5 - 12 (22/5)^2) / (4*3*2)
+        = 201/2, and sigma^2 = c^2 (K4/5 + 2 K2^2/4) = c^2 * 1409/40 ln2^4.
+        The divisor-n moments alone gave c^2 * 1128/125 ln2^4."""
+        sigma = model.c_alpha * math.sqrt(1409 / 40) * math.log(2.0) ** 2
+        values = 2.0 ** np.array([0.0, 1.0, 1.0, 2.0, 6.0])
+        res = estimate_alpha(Sample(values, model), 1.0, model,
+                             EstimatorKind.FAST_POLY_CORRECTED)
+        assert res.eta.sigma == pytest.approx(sigma, rel=1e-13)
+        eta_m = bayes_correct_eta(EtaEstimate(res.eta.eta_hat, sigma=sigma)).eta_m
+        alpha, reason = invert_eta(eta_m, EstimatorKind.FAST_POLY_CORRECTED)
+        assert reason is None and res.alpha_hat == pytest.approx(alpha, rel=1e-12)
+        moments = log_moments(np.log(values)[np.newaxis])
+        batch, _, code = estimate_from_moments(5, *moments, 1.0, model,
+                                               EstimatorKind.FAST_POLY_CORRECTED)
+        assert code[0] == 0 and batch[0] == pytest.approx(alpha, rel=1e-12)
+
     def test_linear_in_model_constant(self):
         rng = np.random.default_rng(8)
         vals = rng.uniform(0.5, 2.0, 64)
