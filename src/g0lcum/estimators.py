@@ -141,7 +141,7 @@ def _eta_variance(k2, m4, n, c_alpha):
     Both K2 and K4 are location-invariant and vanish on a constant sample,
     and K4 needs n >= 4. The estimate can be negative, as K4 can; callers
     take a negative one as zero spread."""
-    r = n / (n - 1.0)  # float, also for integer n
+    r = n / (n - 1.0)  # a float even for integer n, so no product below overflows
     k2_fisher = r * k2
     k4_fisher = r * n / ((n - 2.0) * (n - 3.0)) * ((n + 1.0) * m4 - 3.0 * (n - 1.0) * k2 * k2)
     return c_alpha * c_alpha * (k4_fisher / n + 2.0 * k2_fisher * k2_fisher / (n - 1.0))

@@ -275,7 +275,7 @@ def _count(value) -> int:
     """A count as write_report writes it, a nonnegative JSON integer (not a
     bool) or a CSV field of ASCII digits (int() alone would also take a sign,
     spaces and digit-group underscores); anything else raises ValueError."""
-    if type(value) is int and value >= 0 or (
+    if (type(value) is int and value >= 0) or (
             isinstance(value, str) and value.isascii() and value.isdigit()):
         return int(value)
     raise ValueError(f"count {value!r} is not a nonnegative whole number")

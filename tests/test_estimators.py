@@ -15,6 +15,7 @@ from g0lcum.estimators import (
     EtaEstimate,
     FailureReason,
     Status,
+    _eta_variance,
     bayes_correct_eta,
     estimate_alpha,
     estimate_from_moments,
@@ -100,6 +101,13 @@ class TestEtaSigma:
         batch, _, code = estimate_from_moments(5, *moments, 1.0, model,
                                                EstimatorKind.FAST_POLY_CORRECTED)
         assert code[0] == 0 and batch[0] == pytest.approx(alpha, rel=1e-12)
+
+    def test_int32_sizes_do_not_wrap(self):
+        """Map windows pass their usable counts as int32, and n^2 overflows
+        int32 from n = 46341 on."""
+        n = 60_000
+        sizes = np.array([n], dtype=np.int32)
+        assert _eta_variance(2.0, 12.0, sizes, 4.0)[0] == _eta_variance(2.0, 12.0, n, 4.0) > 0.0
 
     def test_linear_in_model_constant(self):
         rng = np.random.default_rng(8)
