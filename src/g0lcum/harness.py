@@ -258,7 +258,7 @@ def write_report(report: MCReport, path, fmt: str) -> None:
     """One record per cell, its fields in declaration order. JSON writes the
     records; CSV flattens each into a row, and its writer puts floats by
     repr and None as an empty field."""
-    records = [asdict(c) for c in report.cells]
+    records = [{f.name: getattr(c, f.name) for f in fields(c)} for c in report.cells]
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
