@@ -327,5 +327,5 @@ def estimate_from_moments(n, k1, k2, m4, looks: float, model: ModelKind,
     ok = code == 0
     alpha[~ok] = np.nan
     gamma = np.full(eta.shape, np.nan)
-    gamma[ok] = estimate_gamma(alpha[ok], k1[ok], looks, model)
+    gamma[ok] = _gamma_hat(alpha[ok], k1[ok], looks, model)
     return alpha, gamma, code

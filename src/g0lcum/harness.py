@@ -8,7 +8,6 @@ import csv
 import enum
 import functools
 import json
-import math
 import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -25,7 +24,7 @@ from .estimators import (
     estimate_from_moments,
     log_moments,
 )
-from .model import G0Params, ModelKind, sample_g0_stack, unit_mean_gamma
+from .model import G0Params, ModelKind, parse_count, parse_real, sample_g0_stack, unit_mean_gamma
 
 _DEFAULT_ALPHAS = (-1.5, -3.0, -5.0)
 _DEFAULT_LOOKS = (1.0, 3.0, 8.0)
@@ -71,8 +70,9 @@ class MCConfig:
             raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
-        object.__setattr__(self, "alphas", tuple(float(a) for a in self.alphas))
-        object.__setattr__(self, "looks", tuple(float(l) for l in self.looks))
+        object.__setattr__(self, "alphas", tuple(map(parse_real, self.alphas)))
+        object.__setattr__(self, "looks", tuple(map(parse_real, self.looks)))
+        object.__setattr__(self, "alpha_floor", parse_real(self.alpha_floor))
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "models", tuple(self.models))
         object.__setattr__(self, "estimators", tuple(self.estimators))
@@ -82,15 +82,15 @@ class MCConfig:
                 raise ValueError("every sweep list must be nonempty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has a repeated value")
-        if any(not (math.isfinite(a) and a < -1.0) for a in self.alphas):
+        if any(not a < -1.0 for a in self.alphas):
             raise ValueError("alphas must be < -1 so the unit-mean scale exists")
-        if any(not (math.isfinite(l) and l >= 1.0) for l in self.looks):
+        if any(not l >= 1.0 for l in self.looks):
             raise ValueError("looks must be >= 1")
         if any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not (math.isfinite(self.alpha_floor) and self.alpha_floor < 0.0):
+        if not self.alpha_floor < 0.0:
             raise ValueError("alpha_floor must be negative")
 
     @classmethod
@@ -271,27 +271,17 @@ def write_report(report: MCReport, path, fmt: str) -> None:
         raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _count(value) -> int:
-    """A count as write_report writes it, a nonnegative JSON integer (not a
-    bool) or a CSV field of ASCII digits (int() alone would also take a sign,
-    spaces and digit-group underscores); anything else raises ValueError."""
-    if (type(value) is int and value >= 0) or (
-            isinstance(value, str) and value.isascii() and value.isdigit()):
-        return int(value)
-    raise ValueError(f"count {value!r} is not a nonnegative whole number")
-
-
 def _cell_from_record(rec: dict) -> CellStats:
     """One report cell from its JSON record, or from a CSV row in that shape."""
     cell = CellStats(
         model=ModelKind.parse(rec["model"]),
         estimator=EstimatorKind.parse(rec["estimator"]),
-        alpha=float(rec["alpha"]), looks=float(rec["looks"]),
-        n=_count(rec["n"]), trials=_count(rec["trials"]),
-        successes=_count(rec["successes"]),
-        failures={r.value: _count(rec["failures"][r.value]) for r in FailureReason},
-        mse=None if rec["mse"] in (None, "") else float(rec["mse"]),
-        mean_time_ns=float(rec["mean_time_ns"]),
+        alpha=parse_real(rec["alpha"]), looks=parse_real(rec["looks"]),
+        n=parse_count(rec["n"]), trials=parse_count(rec["trials"]),
+        successes=parse_count(rec["successes"]),
+        failures={r.value: parse_count(rec["failures"][r.value]) for r in FailureReason},
+        mse=None if rec["mse"] in (None, "") else parse_real(rec["mse"]),
+        mean_time_ns=parse_real(rec["mean_time_ns"]),
     )
     if cell.successes + cell.failure_count() != cell.trials:
         raise ValueError(f"{cell.successes} successes and {cell.failure_count()} failures "
@@ -316,9 +306,6 @@ def read_report(path, fmt: str) -> MCReport:
             else:
                 records = [dict(zip(_CSV_COLUMNS, row, strict=True)) for row in reader]
                 for rec in records:
-                    # float() alone would read the field 1_0 as 10.0.
-                    if any("_" in field for field in rec.values()):
-                        raise ValueError(f"a field has an underscore: {rec!r}")
                     rec["looks"] = rec["L"]
                     rec["failures"] = {r.value: rec[f"fail_{r.value}"] for r in FailureReason}
             return MCReport(cells=[_cell_from_record(rec) for rec in records])

@@ -7,6 +7,8 @@ from __future__ import annotations
 import csv
 import enum
 import math
+import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +35,33 @@ class ModelKind(enum.Enum):
             return cls(text.lower())
         except ValueError:
             raise ValueError(f"unknown model {text!r}; expected intensity or amplitude") from None
+
+
+# ASCII decimal text: optional sign, digits, point, exponent, and spaces or tabs
+# around. float() alone would also take '_', non-ASCII digits, nan and inf.
+_DECIMAL = re.compile(r"[ \t]*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?[ \t]*", re.ASCII)
+
+
+def parse_real(value) -> float:
+    """A finite float from a real number that is not a bool, or from a decimal
+    string; anything else, even a value beyond the float range, raises ValueError."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            or isinstance(value, str) and _DECIMAL.fullmatch(value)):
+        try:
+            if math.isfinite(x := float(value)):
+                return x
+        except OverflowError:
+            pass
+    raise ValueError(f"{value!r} is not a finite number")
+
+
+def parse_count(value) -> int:
+    """A count as a report holds it: an int >= 0 that is not a bool, or ASCII digits
+    with no sign, space or '_'. Anything else raises ValueError."""
+    if (type(value) is int and value >= 0) or (
+            isinstance(value, str) and value.isascii() and value.isdigit()):
+        return int(value)
+    raise ValueError(f"count {value!r} is not a nonnegative whole number")
 
 
 class MomentUndefinedError(Exception):
@@ -188,11 +217,11 @@ def read_sample_csv(path, model: ModelKind) -> Sample:
             if len(row) != 1:
                 raise ValueError(f"{path}: expected one value per row, got {row!r}")
             try:
-                # float() alone would read the value 1_0 as 10.0.
-                if "_" in row[0]:
-                    raise ValueError
-                values.append(float(row[0]))
+                values.append(parse_real(row[0]))
             except ValueError:
                 raise ValueError(f"{path}:{reader.line_num}: non-numeric value "
                                  f"{row[0]!r}") from None
+            if not values[-1] > 0.0:
+                raise ValueError(f"{path}:{reader.line_num}: sample value {row[0]!r} "
+                                 "is not positive")
     return Sample(values=np.array(values, dtype=float), model=model)

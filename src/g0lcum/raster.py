@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ from .estimators import (
     estimate_from_moments,
     log_moments,
 )
-from .model import ModelKind
+from .model import ModelKind, parse_real
 
 # Windows per chunk of the map's moments phase. Each chunk holds copies of
 # its windows; a row wider than this is cut into column spans, so the chunk
@@ -32,6 +33,11 @@ _CHUNK_WINDOWS = 512
 _ESTIMATE_WINDOWS = 16 * _CHUNK_WINDOWS
 # Outcome code of a window with fewer than 4 usable pixels.
 _SPARSE = -1
+# A PGM header: the magic, then width, height and maxval in ASCII digits, each
+# token after whitespace and '#' comments that run to the end of their line. A
+# token runs to the next whitespace byte, so '3#c' or '+3' is one bad token.
+_PGM_GAP = rb"(?:\s|#[^\n]*(?:\n|\Z))*"
+_PGM_HEADER = re.compile(_PGM_GAP + rb"([^\s#]\S*)(?!\S)" + (_PGM_GAP + rb"(\d+)(?!\S)") * 3)
 
 
 class RasterFormatError(Exception):
@@ -92,41 +98,20 @@ class RoughnessMap:
         return sum(self.failures.values()) + self.sparse_windows
 
 
-def _pgm_tokens(data: bytes):
-    """Header tokens of a PGM file, skipping '#' comments."""
-    pos = 0
-    while True:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos:pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            return
-        yield data[start:pos].decode("ascii"), pos
-
-
 def _read_pgm(path) -> tuple:
     with open(path, "rb") as fh:
         data = fh.read()
-    tokens = _pgm_tokens(data)
-    try:
-        magic, _ = next(tokens)
-        w, _ = next(tokens)
-        h, _ = next(tokens)
-        maxval, after = next(tokens)
-        # int() alone would also take a sign and digit-group underscores.
-        if not (w.isdigit() and h.isdigit() and maxval.isdigit()):
-            raise ValueError
-        width, height, maxval = int(w), int(h), int(maxval)
-    except (StopIteration, ValueError, UnicodeDecodeError):
-        raise RasterFormatError(f"{path}: malformed PGM header") from None
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise RasterFormatError(f"{path}: malformed PGM header")
+    magic = header[1].decode("ascii", "replace")
     if magic not in ("P2", "P5"):
         raise RasterFormatError(f"{path}: expected P2 or P5 magic, got {magic!r}")
+    try:
+        width, height, maxval = map(int, header.groups()[1:])
+    except ValueError:  # more digits than int() converts
+        raise RasterFormatError(f"{path}: malformed PGM header") from None
+    after = header.end()
     if width < 1 or height < 1 or not (0 < maxval < 65536):
         raise RasterFormatError(f"{path}: invalid PGM dimensions or maxval")
     count = width * height
@@ -145,7 +130,7 @@ def _read_pgm(path) -> tuple:
         values = np.frombuffer(raw, dtype=dtype).astype(float)
     if values.size != count:
         raise RasterFormatError(f"{path}: {values.size} pixels for {width}x{height} grid")
-    if np.any(values < 0) or np.any(values > maxval):
+    if np.any(values > maxval):
         raise RasterFormatError(f"{path}: pixel values outside [0, {maxval}]")
     return width, height, values
 
@@ -179,10 +164,7 @@ def _read_csv_grid(path) -> tuple:
             if not line:
                 continue
             try:
-                # float() alone would read the cell 1_0 as 10.0.
-                if "_" in line:
-                    raise ValueError
-                rows.append([float(tok) for tok in line.split(",")])
+                rows.append([parse_real(tok) for tok in line.split(",")])
             except ValueError:
                 raise RasterFormatError(f"{path}:{line_no}: non-numeric cell") from None
     if not rows:

@@ -264,7 +264,7 @@ class TestExitCodes:
         assert name in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
 
-    @pytest.mark.parametrize("value", ["1_0", "abc"])
+    @pytest.mark.parametrize("value", ["1_0", "abc", "1e999", "-2"])
     def test_malformed_sample_value_is_domain_error(self, tmp_path, capsys, value):
         path = tmp_path / "s.csv"
         path.write_text("z\n" + "2.5\n" * 8 + f"{value}\n")
@@ -272,7 +272,9 @@ class TestExitCodes:
                        "--model", "intensity", "--estimator", "poly") == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"g0lcum: error: {path}:10: non-numeric value {value!r}\n"
+        detail = (f"sample value {value!r} is not positive" if value == "-2"
+                  else f"non-numeric value {value!r}")
+        assert captured.err == f"g0lcum: error: {path}:10: {detail}\n"
 
     @pytest.mark.parametrize("exc, detail", [
         (MemoryError("Unable to allocate 7.28 TiB for an array with shape "

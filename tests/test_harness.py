@@ -394,6 +394,10 @@ class TestGoldenBytes:
             '"models": ["intensity", "amplitude"], '
             '"estimators": ["traditional", "fmolc", "poly", "poly-corrected"], '
             '"seed": 0, "alpha_floor": -15.0}')
+        # Integer numbers read as floats, so equal configs write equal bytes.
+        same = MCConfig.from_json('{"alphas": [-1.5, -3, -5], "looks": [1, 3, 8], '
+                                  '"alpha_floor": -15}')
+        assert same.to_json() == MCConfig().to_json()
 
     def test_custom_config_json(self):
         cfg = MCConfig(alphas=(-2.0, -7.25), looks=(4.0,), sizes=(25, 49), trials=7,

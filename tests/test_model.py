@@ -1,14 +1,16 @@
 """Speckle model layer: densities, moments, log-cumulants, and the seeded
 synthetic sampler for both the intensity and amplitude variants."""
 
+import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from g0lcum import specfun
+from g0lcum import cli, specfun
 from g0lcum import (
     G0Params,
     LogCumulants,
@@ -25,7 +27,10 @@ from g0lcum import (
     unit_mean_gamma,
     write_sample_csv,
 )
-from g0lcum.model import sample_g0_stack
+from g0lcum.estimators import EstimatorKind, FailureReason
+from g0lcum.harness import CellStats, MCReport, read_report, write_report
+from g0lcum.model import parse_real, sample_g0_stack
+from g0lcum.raster import RasterFormatError, read_raster
 
 I = ModelKind.INTENSITY
 A = ModelKind.AMPLITUDE
@@ -321,3 +326,121 @@ class TestSampleCsv:
         path.write_text(f"z\n1.5\n{value}\n")
         with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-numeric value")):
             read_sample_csv(path, I)
+
+    @pytest.mark.parametrize("value", ["-2", "0", "-0.0"])
+    def test_rejects_nonpositive_value_naming_the_line(self, tmp_path, value):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"z\n1.5\n{value}\n3\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:3: sample value {value!r} is not positive")):
+            read_sample_csv(path, I)
+
+    def test_spaces_and_tabs_around_a_value(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("z\n 1.5\n2e0\t\n\t.25 \n")
+        assert read_sample_csv(path, I).values.tolist() == [1.5, 2.0, 0.25]
+
+
+# Number text that every reader rejects. JSON readers take each as a JSON
+# string, and also the bare JSON tokens in BAD_JSON_NUMBERS.
+BAD_NUMBERS = {"fullwidth-one": "\uff11", "arabic-indic-three": "\u0663", "nan": "nan",
+               "inf": "inf", "overflow": "1e999", "underscore": "1_0", "hex": "0x10",
+               "empty": ""}
+BAD_JSON_NUMBERS = {"true": "true", "NaN": "NaN", "bare-overflow": "1e999",
+                    "400-digit-integer": "1" + "0" * 399}
+
+
+def _spoil_report(tmp_path, fmt, alpha):
+    """A written report whose first cell's alpha field holds ``alpha``."""
+    failures = {r.value: 0 for r in FailureReason}
+    cell = CellStats(model=I, estimator=EstimatorKind.FAST_POLY, alpha=-3.0, looks=1.0,
+                     n=9, trials=2, successes=2, failures=failures, mse=0.5,
+                     mean_time_ns=10.0)
+    path = tmp_path / f"report.{fmt}"
+    write_report(MCReport(cells=[cell]), path, fmt)
+    field = "-3.0" if fmt == "csv" else '"alpha": -3.0'
+    path.write_text(path.read_text().replace(field, field.replace("-3.0", alpha), 1),
+                    encoding="utf-8")
+    return path
+
+
+def _sample_csv(tmp_path, capsys, text):
+    path = tmp_path / "s.csv"
+    path.write_text(f"z\n1.5\n{text}\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: non-numeric value")):
+        read_sample_csv(path, I)
+
+
+def _csv_raster(tmp_path, capsys, text):
+    path = tmp_path / "grid.csv"
+    path.write_text(f"1,2\n3,{text}\n", encoding="utf-8")
+    with pytest.raises(RasterFormatError, match=re.escape(f"{path}:2: non-numeric cell")):
+        read_raster(path, "csv", I, 1.0)
+
+
+def _report(fmt):
+    def check(tmp_path, capsys, text):
+        path = _spoil_report(tmp_path, fmt, text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed report")):
+            read_report(path, fmt)
+    return check
+
+
+def _mc_config(tmp_path, capsys, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(f'{{"alphas": [{text}], "trials": 1}}', encoding="utf-8")
+    capsys.readouterr()
+    assert cli.main(["mc", "--config", str(path), "--out", str(tmp_path / "r.json"),
+                     "--format", "json", "--threads", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("g0lcum: error: ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+# Each check writes a valid file that holds the text where a number belongs
+# and asserts a clean failure.
+READERS = {"sample-csv": _sample_csv, "csv-raster": _csv_raster, "csv-report": _report("csv"),
+           "json-report": _report("json"), "mc-config": _mc_config}
+JSON_READERS = ("json-report", "mc-config")
+
+
+def _reader_cases():
+    for reader in READERS:
+        in_json = reader in JSON_READERS
+        for name, text in BAD_NUMBERS.items():
+            # A sample CSV skips an empty row as a blank line.
+            if not (reader == "sample-csv" and name == "empty"):
+                yield pytest.param(reader, json.dumps(text) if in_json else text,
+                                   id=f"{reader}-{name}")
+        for name, token in BAD_JSON_NUMBERS.items() if in_json else ():
+            yield pytest.param(reader, token, id=f"{reader}-{name}")
+
+
+class TestParseReal:
+    def test_reads_back_every_repr_bit_for_bit(self):
+        bits = np.frombuffer(np.random.default_rng(5).bytes(8 * 200_000), dtype=np.float64)
+        tiny = 5e-324
+        edges = [0.0, -0.0, tiny, -tiny, 2.2250738585072014e-308 - tiny,
+                 2.2250738585072014e-308, sys.float_info.max, -sys.float_info.max]
+        values = np.concatenate([bits[np.isfinite(bits)], edges])
+        back = np.array([parse_real(repr(x)) for x in values.tolist()])
+        assert np.array_equal(back.view(np.uint64), values.view(np.uint64))
+
+    @pytest.mark.parametrize("value, expected", [
+        ("3", 3.0), (" -1.5e3\t", -1500.0), ("+.5E-3", 5e-4), ("5.", 5.0), (7, 7.0),
+        (np.float32(0.5), 0.5), (-0.0, -0.0)])
+    def test_accepts(self, value, expected):
+        x = parse_real(value)
+        assert type(x) is float and repr(x) == repr(expected)
+
+    @pytest.mark.parametrize("value", [
+        True, pytest.param(10 ** 400, id="400-digits"), math.nan, -math.inf, None, b"1",
+        ".", "e5", "1e", " ", "1 2", "1\n", "\v1", "1,5"])
+    def test_rejects(self, value):
+        with pytest.raises(ValueError, match="is not a finite number"):
+            parse_real(value)
+
+    @pytest.mark.parametrize("reader, text", _reader_cases())
+    def test_every_reader_rejects(self, tmp_path, capsys, reader, text):
+        READERS[reader](tmp_path, capsys, text)

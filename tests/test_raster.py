@@ -1,6 +1,7 @@
 """Raster readers, sliding-window roughness mapping, and map export."""
 
 import json
+import re
 import sys
 
 import numpy as np
@@ -136,13 +137,46 @@ class TestReadRaster:
         with pytest.raises(RasterFormatError, match="decimal integers"):
             read_raster(path, "pgm", I, 1.0)
 
-    @pytest.mark.parametrize("header", ["P2 1_0 1 255", "P2 +3 1 255", "P2 3 1 2_55",
-                                        "P2 3 -1 255", "P5 3 1 +255"])
-    def test_pgm_header_numbers_are_decimal_digits(self, tmp_path, header):
+    # Each file's outcome as the earlier token-by-token header reader gave
+    # it: the pixels it read, or the start of its error message.
+    @pytest.mark.parametrize("data, expected", [
+        *(pytest.param(header.encode() + (b"\n1 2 3\n" if header[1] == "2" else b"\n\1\2\3"),
+                       "malformed PGM header", id=header)
+          for header in ["P2 1_0 1 255", "P2 +3 1 255", "P2 3 1 2_55", "P2 3 -1 255",
+                         "P5 3 1 +255"]),
+        pytest.param(b"# a\nP2\n# b\n3 # c\n# d\n1\n#e\n255\n1 2 3\n", [1, 2, 3],
+                     id="comments-before-each-token"),
+        pytest.param(b"#a\nP5 #b\n3 #c\n1\n#d\n255\n\1\2\3", [1, 2, 3],
+                     id="comments-before-each-token-p5"),
+        pytest.param(b"P2# c\n3 1 255\n1 2 3\n", "malformed PGM header",
+                     id="comment-glued-to-magic"),
+        pytest.param(b"P2 3# c\n1 255\n1 2 3\n", "malformed PGM header",
+                     id="comment-glued-to-number"),
+        pytest.param(b"P2 3 1 255 #c", "P2 pixel data must be unsigned",
+                     id="comment-ending-the-file"),
+        pytest.param(b"P2\r\n3 1\r\n255\r\n1 2 3\r\n", [1, 2, 3], id="crlf"),
+        pytest.param(b"P5\r\n3 1\r\n255\r\n\1\2\3", "P5 payload has 4 bytes", id="crlf-p5"),
+        pytest.param(b"P2\x0b3\x0c1\x0b255\x0c1 2 3", [1, 2, 3], id="vertical-tab-form-feed"),
+        pytest.param(b"P5\x0b3\x0c1\x0b255\x0c\1\2\3", [1, 2, 3],
+                     id="vertical-tab-form-feed-p5"),
+        pytest.param("P2 \uff13 1 255\n1 2 3\n".encode(), "malformed PGM header",
+                     id="fullwidth-digit"),
+        pytest.param(b"P2 3 1 " + b"0" * 5000 + b"255\n1 2 3\n", "malformed PGM header",
+                     id="more-digits-than-int-reads"),
+        pytest.param(b"P5 3 1 255", "P5 payload has 0 bytes", id="nothing-after-maxval-p5"),
+        pytest.param(b"P2 3 1 255", "0 pixels for 3x1 grid", id="nothing-after-maxval"),
+        pytest.param(b"P7 3 1 255\n1 2 3\n", "expected P2 or P5 magic, got 'P7'",
+                     id="bad-magic"),
+    ])
+    def test_pgm_header_numbers_are_decimal_digits(self, tmp_path, data, expected):
         path = tmp_path / "img.pgm"
-        path.write_bytes(header.encode() + (b"\n1 2 3\n" if header[1] == "2" else b"\n\1\2\3"))
-        with pytest.raises(RasterFormatError, match="malformed PGM header"):
-            read_raster(path, "pgm", I, 1.0)
+        path.write_bytes(data)
+        if isinstance(expected, str):
+            with pytest.raises(RasterFormatError, match=re.escape(f"{path}: {expected}")):
+                read_raster(path, "pgm", I, 1.0)
+        else:
+            r = read_raster(path, "pgm", I, 1.0)
+            assert (r.width, r.height, r.pixels.tolist()) == (3, 1, expected)
 
     @pytest.mark.parametrize("text", ["1_0,2\n3,4\n", "1,2\n3,4_0\n", "1,2\n_3,4\n"])
     def test_csv_cells_have_no_underscores(self, tmp_path, text):
