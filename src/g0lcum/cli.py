@@ -107,11 +107,10 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_mc(args) -> int:
-    with open(args.config) as fh:
-        text = fh.read()
     try:
-        cfg = harness.MCConfig.from_json(text)
-    except json.JSONDecodeError as exc:
+        with open(args.config, encoding="utf-8") as fh:
+            cfg = harness.MCConfig.from_json(fh.read())
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise RuntimeError(f"{args.config}: invalid JSON ({exc})") from None
     report = harness.run_campaign(cfg, parallelism=args.threads)
     harness.write_report(report, args.out, args.format)

@@ -266,7 +266,7 @@ def write_report(report: MCReport, path, fmt: str) -> None:
             writer.writerows(map(_csv_row, records))
     elif fmt == "json":
         with open(path, "w") as fh:
-            json.dump({"cells": records}, fh, default=lambda member: member.value)
+            fh.write(json.dumps({"cells": records}, default=lambda member: member.value))
     else:
         raise ValueError(f"unknown report format {fmt!r}")
 
@@ -294,16 +294,15 @@ def read_report(path, fmt: str) -> MCReport:
     ValueError naming the path."""
     if fmt not in ("csv", "json"):
         raise ValueError(f"unknown report format {fmt!r}")
-    with open(path, newline="") as fh:
-        if fmt == "csv":
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or tuple(header) != _CSV_COLUMNS:
-                raise ValueError(f"{path}: unexpected report header {header!r}")
+    with open(path, newline="", encoding="utf-8") as fh:
         try:
             if fmt == "json":
                 records = json.load(fh)["cells"]
             else:
+                reader = csv.reader(fh)
+                header = next(reader, None)
+                if header is None or tuple(header) != _CSV_COLUMNS:
+                    raise ValueError(f"unexpected report header {header!r}")
                 records = [dict(zip(_CSV_COLUMNS, row, strict=True)) for row in reader]
                 for rec in records:
                     rec["looks"] = rec["L"]

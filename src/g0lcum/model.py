@@ -205,23 +205,26 @@ def write_sample_csv(s: Sample, path) -> None:
 
 
 def read_sample_csv(path, model: ModelKind) -> Sample:
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["z"]:
-            raise ValueError(f"{path}: expected single-column CSV with header 'z'")
-        values = []
-        for row in reader:
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 1:
-                raise ValueError(f"{path}: expected one value per row, got {row!r}")
-            try:
-                values.append(parse_real(row[0]))
-            except ValueError:
-                raise ValueError(f"{path}:{reader.line_num}: non-numeric value "
-                                 f"{row[0]!r}") from None
-            if not values[-1] > 0.0:
-                raise ValueError(f"{path}:{reader.line_num}: sample value {row[0]!r} "
-                                 "is not positive")
+        try:
+            header = next(reader, None)
+            if header is None or [h.strip() for h in header] != ["z"]:
+                raise ValueError(f"{path}: expected single-column CSV with header 'z'")
+            values = []
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != 1:
+                    raise ValueError(f"{path}: expected one value per row, got {row!r}")
+                try:
+                    values.append(parse_real(row[0]))
+                except ValueError:
+                    raise ValueError(f"{path}:{reader.line_num}: non-numeric value "
+                                     f"{row[0]!r}") from None
+                if not values[-1] > 0.0:
+                    raise ValueError(f"{path}:{reader.line_num}: sample value {row[0]!r} "
+                                     "is not positive")
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
     return Sample(values=np.array(values, dtype=float), model=model)

@@ -138,7 +138,7 @@ def _read_pgm(path) -> tuple:
 def _read_rawf32(path) -> tuple:
     sidecar = str(path) + ".json"
     try:
-        with open(sidecar) as fh:
+        with open(sidecar, encoding="utf-8") as fh:
             meta = json.load(fh)
         width, height = meta["width"], meta["height"]
     except (OSError, ValueError, KeyError, TypeError):
@@ -158,15 +158,18 @@ def _read_rawf32(path) -> tuple:
 
 def _read_csv_grid(path) -> tuple:
     rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rows.append([parse_real(tok) for tok in line.split(",")])
-            except ValueError:
-                raise RasterFormatError(f"{path}:{line_no}: non-numeric cell") from None
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line_no, line in enumerate(fh, 1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rows.append([parse_real(tok) for tok in line.split(",")])
+                except ValueError:
+                    raise RasterFormatError(f"{path}:{line_no}: non-numeric cell") from None
+        except UnicodeDecodeError as exc:
+            raise RasterFormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
     if not rows:
         raise RasterFormatError(f"{path}: empty CSV raster")
     width = len(rows[0])
@@ -320,7 +323,7 @@ def write_map(m: RoughnessMap, path, fmt: str) -> None:
                 "alpha_floor": m.alpha_floor, "moments_ns": m.moments_ns,
                 "estimate_ns": m.estimate_ns}
         with open(str(path) + ".meta.json", "w") as fh:
-            json.dump(meta, fh)
+            fh.write(json.dumps(meta))
     elif fmt == "pgm":
         scaled = (1.0 - m.alpha / m.alpha_floor) * 255.0
         scaled = np.where(np.isnan(m.alpha), 0.0, np.clip(scaled, 0.0, 255.0))

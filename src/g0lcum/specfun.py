@@ -7,7 +7,6 @@ import math
 
 import numpy as np
 from scipy import special as _sp
-from scipy.optimize._zeros import _brentq
 
 
 class NoBracketError(Exception):
@@ -119,6 +118,8 @@ def euler_mascheroni_oracle() -> float:
 _BRACKET_LO, _BRACKET_HI = 1e-6, 1e6
 _BRACKET_ETA_MIN, _BRACKET_ETA_MAX = trigamma(_BRACKET_HI), trigamma(_BRACKET_LO)
 _BRACKET_TOL, _BRACKET_MAX_ITER = 1e-10, 200
+# scipy's compiled Brent loop, imported by the first bracketed solve.
+_brentq = None
 
 
 def trigamma_inverse_bracketed(eta: float) -> float:
@@ -134,12 +135,20 @@ def trigamma_inverse_bracketed(eta: float) -> float:
     on each of the solve's ~29 evaluations and costs more than the solve.
     That check cannot fire here: eta is finite before the solve, and on the
     bracket _trigamma is finite and positive, so the objective is finite.
-    For the same reason the objective calls the unchecked _trigamma."""
+    For the same reason the objective calls the unchecked _trigamma.
+
+    The loop is imported on the first solve that passes the range check, not
+    when this module loads, because importing it imports all of
+    scipy.optimize, which no other estimator needs. It is kept in the module
+    global _brentq, so later solves pay one test of that global."""
+    global _brentq
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
     if not _BRACKET_ETA_MIN <= eta <= _BRACKET_ETA_MAX:
         raise NoBracketError(f"eta={eta!r} is outside the invertible bracket")
+    if _brentq is None:
+        from scipy.optimize._zeros import _brentq
     root, _, _, flag = _brentq(lambda t: _trigamma(t) - eta, _BRACKET_LO, _BRACKET_HI,
                                1e-14, 4.0 * np.finfo(float).eps, _BRACKET_MAX_ITER,
                                (), True, False)

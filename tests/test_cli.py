@@ -15,6 +15,11 @@ from g0lcum.estimators import EstimatorKind, estimate_alpha
 from g0lcum.model import ModelKind, read_sample_csv
 
 
+# The rest of a one-pixel-window map command line, writing to {tmp}/out.
+MAP_FLAGS = ("--window 1 --looks 1 --model intensity --estimator poly --out {tmp}/out "
+             "--threads 1")
+
+
 def run_cli(*argv):
     return main(list(argv))
 
@@ -263,6 +268,30 @@ class TestExitCodes:
                        "--threads", "1") == 2
         assert name in capsys.readouterr().err
         assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("name, content, command, code, detail", [
+        ("s.csv", b"z\n1.5\n3\xff4\n",
+         "estimate --in {path} --looks 1 --model intensity --estimator poly", 1,
+         "not UTF-8 text"),
+        ("grid.csv", b"1,2\n3,\xff4\n",
+         "map --in {path} --format csv " + MAP_FLAGS, 2, "not UTF-8 text"),
+        ("img.raw.json", b'{"width": 3, "height": 2}\xff',
+         "map --in {tmp}/img.raw --format rawf32 " + MAP_FLAGS, 2,
+         "missing or malformed sidecar"),
+        ("cfg.json", b'{"trials": 1, "alphas": [-3\xff]}',
+         "mc --config {path} --out {tmp}/out --format json --threads 1", 2, "invalid JSON")],
+        ids=["sample-csv", "csv-raster", "rawf32-sidecar", "mc-config"])
+    def test_non_utf8_input_names_the_file(self, tmp_path, capsys, name, content, command,
+                                           code, detail):
+        path = tmp_path / name
+        path.write_bytes(content)
+        np.ones(6, dtype="<f4").tofile(tmp_path / "img.raw")
+        capsys.readouterr()
+        assert run_cli(*command.format(path=path, tmp=tmp_path).split()) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"{path}: {detail}" in captured.err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("value", ["1_0", "abc", "1e999", "-2"])
     def test_malformed_sample_value_is_domain_error(self, tmp_path, capsys, value):

@@ -354,6 +354,15 @@ class TestReportIO:
         with pytest.raises(ValueError, match=re.escape(str(path))):
             read_report(path, fmt)
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_non_utf8_report_rejected(self, tmp_path, fmt):
+        path = tmp_path / f"report.{fmt}"
+        write_report(_toy_report(), path, fmt)
+        path.write_bytes(path.read_bytes().replace(b"intensity", b"intensit\xff", 1))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: malformed report "
+                                                       "(UnicodeDecodeError")):
+            read_report(path, fmt)
+
 
 class TestGoldenBytes:
     """The exact bytes of campaign artifacts, so a refactor of the writers

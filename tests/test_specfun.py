@@ -4,12 +4,17 @@ inverse of the approximation behind the degree-7 roughness polynomial, and
 the F-distribution quantile."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 from scipy.special import psi
 
+import g0lcum
 from g0lcum import specfun
 from g0lcum.specfun import (
     NoBracketError,
@@ -151,6 +156,61 @@ class TestTrigammaInverse:
                 assert trigamma_inverse_bracketed(eta) == ref
                 compared += 1
         assert compared > 3000
+
+
+# Run in a fresh interpreter, since this one has imported scipy.optimize for
+# brentq. Only a traditional solve may load it; forked campaign workers whose
+# parent has not loaded it yet load it themselves and agree with a serial run.
+LAZY_SOLVER_SCRIPT = textwrap.dedent("""
+    import dataclasses, sys
+    from pathlib import Path
+    import numpy as np
+    from g0lcum import cli, harness, specfun
+    from g0lcum.estimators import EstimatorKind, estimate_alpha, invert_eta
+    from g0lcum.model import G0Params, ModelKind, sample_g0, unit_mean_gamma
+
+    def loaded():
+        return "scipy.optimize" in sys.modules
+
+    tmp = Path(sys.argv[1])
+    rng = np.random.default_rng(3)
+    (tmp / "grid.csv").write_text("\\n".join(
+        ",".join(map(repr, row)) for row in rng.gamma(2.0, 1.0, (8, 8)).tolist()))
+    assert cli.main(["map", "--in", str(tmp / "grid.csv"), "--format", "csv",
+                     "--window", "3", "--looks", "1", "--model", "intensity",
+                     "--estimator", "poly-corrected", "--out", str(tmp / "m.csv"),
+                     "--threads", "1"]) == 0
+    params = G0Params(alpha=-3.0, gamma=unit_mean_gamma(-3.0), looks=2.0)
+    sample = sample_g0(params, ModelKind.INTENSITY, 400, 7)
+    res = estimate_alpha(sample, 2.0, ModelKind.INTENSITY, EstimatorKind.FAST_POLY)
+    assert res.failure is None
+    assert not loaded()
+
+    cfg = harness.MCConfig(alphas=(-3.0,), looks=(1.0, 3.0), sizes=(9, 25), trials=30,
+                           models=(ModelKind.INTENSITY,),
+                           estimators=(EstimatorKind.TRADITIONAL,))
+    forked = harness.run_campaign(cfg, parallelism=2)
+    assert not loaded()
+
+    assert invert_eta(specfun.trigamma(3.0), EstimatorKind.TRADITIONAL)[1] is None
+    assert loaded()
+
+    serial = harness.run_campaign(cfg, parallelism=1)
+    untimed = lambda report: [dataclasses.replace(c, mean_time_ns=0.0) for c in report.cells]
+    assert untimed(forked) == untimed(serial)
+    assert all(c.successes > 0 for c in forked.cells)
+    print("ok")
+""")
+
+
+def test_only_a_traditional_solve_loads_scipy_optimize(tmp_path):
+    src = os.path.dirname(os.path.dirname(g0lcum.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", LAZY_SOLVER_SCRIPT, str(tmp_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "ok\n"
 
 
 def approx_series(x: float) -> float:
