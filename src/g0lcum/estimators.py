@@ -93,12 +93,13 @@ def log_moments(logs, usable=None, n=None):
     Given a boolean mask ``usable`` like ``logs``, a sample is its true
     entries alone (the others may be NaN) and n is their count, so samples
     of any sizes share one pass; a fully usable one keeps the unmasked bits.
-    A caller that has already counted them passes those counts as ``n``."""
+    A caller that has already counted them passes those counts as ``n``.
+    One unmasked sample takes the same arithmetic on a scalar mean."""
     logs = np.asarray(logs, dtype=float)
     if usable is None:
         n = logs.shape[-1]
         k1 = np.add.reduce(logs, axis=-1) / n
-        d = logs - k1[..., np.newaxis]
+        d = logs - (k1 if logs.ndim == 1 else k1[..., np.newaxis])
     else:
         if n is None:
             n = np.count_nonzero(usable, axis=-1)
@@ -114,7 +115,7 @@ def log_moments(logs, usable=None, n=None):
     # constant sample's k2 is below this bound; only the samples below it
     # get a second pass over their usable data.
     near = k2 <= (n * _EPS * k1) ** 2
-    if np.count_nonzero(near):
+    if near if near.ndim == 0 else np.count_nonzero(near):
         checked, where = logs[near], True if usable is None else usable[near]
         flat = np.array(near)
         flat[near] = (checked.min(axis=-1, where=where, initial=np.inf)
@@ -158,29 +159,36 @@ def _deep_tail_mean(eta_hat, sigma):
     return sigma / (s + acc)
 
 
+def _posterior_mean(eta_hat: float, sigma: float) -> float:
+    """bayes_correct_eta's eta_m, unchecked: eta_hat must be a finite float
+    and sigma a float >= 0."""
+    if sigma == 0.0:
+        return max(eta_hat, 1e-12)
+    t = eta_hat / sigma
+    if t >= -8.0:
+        return eta_hat + sigma * math.exp(-0.5 * t * t - _LOG_SQRT_2PI - _log_ndtr(t))
+    return _deep_tail_mean(eta_hat, sigma)
+
+
 def bayes_correct_eta(eta: EtaEstimate) -> EtaEstimate:
     """Posterior-mean correction of eta under a flat positive prior: the mean
     of a normal centered at eta_hat with scale sigma, truncated to (0, inf).
 
     Always strictly positive and never below eta_hat. A zero sigma collapses
-    the posterior onto the point estimate, clamped away from zero."""
-    if eta.sigma is None or eta.sigma < 0.0:
-        raise ValueError("eta.sigma must be set and nonnegative before correction")
-    sigma = eta.sigma
-    if sigma == 0.0:
-        return replace(eta, eta_m=max(eta.eta_hat, 1e-12))
-    t = eta.eta_hat / sigma
-    if t >= -8.0:
-        corrected = eta.eta_hat + sigma * math.exp(-0.5 * t * t - _LOG_SQRT_2PI - _log_ndtr(t))
-    else:
-        corrected = _deep_tail_mean(eta.eta_hat, sigma)
-    return replace(eta, eta_m=corrected)
+    the posterior onto the point estimate, clamped away from zero. A NaN or
+    infinite eta_hat, or a sigma that is unset, NaN or negative, raises
+    ValueError."""
+    if not (math.isfinite(eta.eta_hat) and eta.sigma is not None and eta.sigma >= 0.0):
+        raise ValueError("eta.eta_hat must be finite and eta.sigma set and nonnegative "
+                         f"before correction, got {eta!r}")
+    return replace(eta, eta_m=_posterior_mean(eta.eta_hat, eta.sigma))
 
 
 def _gamma_hat(alpha_hat, k1, looks: float, model: ModelKind):
     """estimate_gamma's formula, unchecked: alpha_hat must already be finite
-    and negative. Scalars or arrays."""
-    return looks * np.exp(model.k1_scale * k1 - _psi(looks) + _psi(-alpha_hat))
+    and negative. Scalars or arrays of alpha_hat and k1; looks is one
+    number, so its psi is taken as a Python float."""
+    return looks * np.exp(model.k1_scale * k1 - float(_psi(looks)) + _psi(-alpha_hat))
 
 
 def estimate_gamma(alpha_hat, k1, looks: float, model: ModelKind):
@@ -234,22 +242,27 @@ def estimate_alpha(s: Sample, looks: float, model: ModelKind, kind: EstimatorKin
                    alpha_floor: float = ALPHA_FLOOR) -> EstimateResult:
     """Full estimation on a raw sample: log-cumulants, eta, inversion, and
     the scale estimate on success. Failures are carried in the result, never
-    thrown; timing covers everything from the log transform onward."""
+    thrown; timing covers everything from the log transform onward.
+
+    Between the numpy calls it needs, the arithmetic runs on Python floats."""
     if not (math.isfinite(looks) and looks >= 1.0):
         raise ValueError(f"looks must be >= 1, got {looks!r}")
+    looks = float(looks)
     t0 = time.perf_counter_ns()
     logs = np.log(s.values)
     n = logs.size
     k1, k2, m4 = map(float, log_moments(logs))
-    eta = EtaEstimate(eta_hat=model.c_alpha * k2 - specfun.trigamma(looks))
+    eta_hat = model.c_alpha * k2 - specfun._trigamma(looks)
     if kind is EstimatorKind.FAST_POLY_CORRECTED:
         # Too few points to estimate the spread: degrade to the
         # point-estimate posterior rather than failing outright.
         var = _eta_variance(k2, m4, n, model.c_alpha) if n >= 4 else 0.0
-        eta = bayes_correct_eta(replace(eta, sigma=math.sqrt(var) if var > 0.0 else 0.0))
+        sigma = math.sqrt(var) if var > 0.0 else 0.0
+        eta = EtaEstimate(eta_hat, sigma, _posterior_mean(eta_hat, sigma))
         alpha_hat, reason = invert_eta(eta.eta_m, kind, alpha_floor)
     else:
-        alpha_hat, reason = invert_eta(eta.eta_hat, kind, alpha_floor)
+        eta = EtaEstimate(eta_hat)
+        alpha_hat, reason = invert_eta(eta_hat, kind, alpha_floor)
     gamma_hat = None
     if alpha_hat is not None:
         gamma_hat = float(_gamma_hat(alpha_hat, k1, looks, model))

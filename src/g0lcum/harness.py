@@ -16,6 +16,7 @@ from itertools import product
 
 import numpy as np
 
+from . import specfun
 from .estimators import (
     ALPHA_FLOOR,
     EstimatorKind,
@@ -193,8 +194,8 @@ def _run_sample_cell(cfg: MCConfig, cell_index: int) -> dict:
     The timing covers the log moments of the batch plus the estimator."""
     model, alpha, looks, n = cfg.sample_cells()[cell_index]
     params = G0Params(alpha=alpha, gamma=unit_mean_gamma(alpha), looks=looks)
-    values = sample_g0_stack(params, model, n, [trial_seed(cfg.seed, cell_index, t)
-                                                for t in range(cfg.trials)])
+    seeds = (trial_seed(cfg.seed, cell_index, t) for t in range(cfg.trials))
+    values = sample_g0_stack(params, model, n, seeds, cfg.trials)
     t0 = time.perf_counter_ns()
     moments = log_moments(np.log(values))
     moments_ns = time.perf_counter_ns() - t0
@@ -218,7 +219,8 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     """Run every cell of the sweep; each trial's sample is shared by all
     requested estimators. Deterministic for a given config regardless of
     the parallelism degree (timing fields excepted). Cells are reported by
-    model, then estimator, then alpha, looks and n."""
+    model, then estimator, then alpha, looks and n. A pool's workers share
+    the bracketed solver, loaded before they start, if traditional runs."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     indices = range(len(cfg.sample_cells()))
@@ -226,6 +228,8 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     if parallelism == 1 or len(indices) == 1:
         partials = list(map(run, indices))
     else:
+        if EstimatorKind.TRADITIONAL in cfg.estimators:
+            specfun.load_bracketed_solver()
         with ProcessPoolExecutor(max_workers=min(parallelism, len(indices))) as pool:
             partials = list(pool.map(run, indices))
     # Sample cells already run in (model, alpha, looks, n) order, and the

@@ -107,7 +107,7 @@ class Sample:
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("sample must be a nonempty 1-D array")
         # A NaN fails both comparisons.
-        if not (0.0 < arr.min() and arr.max() < math.inf):
+        if not (0.0 < np.minimum.reduce(arr) and np.maximum.reduce(arr) < math.inf):
             raise ValueError("sample values must be finite and strictly positive")
         object.__setattr__(self, "values", arr)
 
@@ -164,14 +164,23 @@ def unit_mean_gamma(alpha: float) -> float:
     return -alpha - 1.0
 
 
-def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds) -> np.ndarray:
-    """sample_g0 for many seeds at once: row t of the (len(seeds), n) result
-    is sample_g0(params, model, n, seeds[t]).values. One F quantile runs
-    over the whole stack; each row redraws from its own generator."""
+def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds,
+                    trials: int | None = None) -> np.ndarray:
+    """sample_g0 for many seeds at once: row t of the (trials, n) result is
+    sample_g0(params, model, n, seeds[t]).values. ``seeds`` is a sequence,
+    or any iterable of exactly ``trials`` seeds; it is read only once the
+    stack is allocated, so a size too large to hold fails before any seed
+    is taken. One F quantile runs over the whole stack; each row redraws
+    from its own generator."""
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n!r}")
-    rngs = [np.random.Generator(np.random.Philox(seed)) for seed in seeds]
+    u = np.empty((len(seeds) if trials is None else trials, n))
+    rngs = []
+    for row, seed in zip(u, seeds, strict=True):
+        rng = np.random.Generator(np.random.Philox(seed))
+        rng.random(out=row)
+        rngs.append(rng)
     d1, d2, scale = 2.0 * params.looks, -2.0 * params.alpha, -params.gamma / params.alpha
 
     def draw(u: np.ndarray) -> np.ndarray:
@@ -179,7 +188,7 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds) -> np.nda
         za = np.sqrt(scale * specfun.f_quantile(u, d1, d2))
         return za * za if model is ModelKind.INTENSITY else za
 
-    z = draw(np.array([rng.random(n) for rng in rngs]).reshape(len(rngs), n))
+    z = draw(u)
     for row, rng in zip(z, rngs):
         while (bad := ~np.isfinite(row) | (row <= 0.0)).any():
             row[bad] = draw(rng.random(int(bad.sum())))

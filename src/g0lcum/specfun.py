@@ -51,8 +51,10 @@ def trigamma(x: float) -> float:
     return _trigamma(_check_positive(x, "x"))
 
 
-def _trigamma(x: float) -> float:
-    """trigamma's arithmetic, unchecked: x must be a positive finite float."""
+def _trigamma(x: float, minus: float = 0.0) -> float:
+    """trigamma's arithmetic, unchecked: x must be a positive finite float.
+    Returns trigamma(x) - minus, the root-finding objective, in one frame;
+    subtracting the default 0.0 leaves every trigamma value as it is."""
     shift = 0.0
     while x < 10.0:
         shift += 1.0 / (x * x)
@@ -60,7 +62,7 @@ def _trigamma(x: float) -> float:
     w = 1.0 / (x * x)
     b2, b4, b6, b8, b10, b12, b14 = _B2K
     tail = b2 + w * (b4 + w * (b6 + w * (b8 + w * (b10 + w * (b12 + w * b14)))))
-    return shift + 1.0 / x + 0.5 * w + w / x * tail
+    return shift + 1.0 / x + 0.5 * w + w / x * tail - minus
 
 
 def trigamma_approx(x: float) -> float:
@@ -114,12 +116,22 @@ def euler_mascheroni_oracle() -> float:
 
 
 # Bracket for the traditional trigamma inversion, its image under trigamma,
-# and the refinement's residual tolerance and iteration cap.
+# the refinement's residual tolerance and iteration cap, and the relative
+# step tolerance brentq passes by default.
 _BRACKET_LO, _BRACKET_HI = 1e-6, 1e6
 _BRACKET_ETA_MIN, _BRACKET_ETA_MAX = trigamma(_BRACKET_HI), trigamma(_BRACKET_LO)
 _BRACKET_TOL, _BRACKET_MAX_ITER = 1e-10, 200
+_BRACKET_RTOL = 4.0 * np.finfo(float).eps
 # scipy's compiled Brent loop, imported by the first bracketed solve.
 _brentq = None
+
+
+def load_bracketed_solver() -> None:
+    """Import the compiled Brent loop that trigamma_inverse_bracketed runs,
+    if no solve has yet. Processes forked after this call share it."""
+    global _brentq
+    if _brentq is None:
+        from scipy.optimize._zeros import _brentq
 
 
 def trigamma_inverse_bracketed(eta: float) -> float:
@@ -135,28 +147,27 @@ def trigamma_inverse_bracketed(eta: float) -> float:
     on each of the solve's ~29 evaluations and costs more than the solve.
     That check cannot fire here: eta is finite before the solve, and on the
     bracket _trigamma is finite and positive, so the objective is finite.
-    For the same reason the objective calls the unchecked _trigamma.
+    For the same reason the objective is the unchecked _trigamma itself,
+    which the loop calls with eta as its extra argument.
 
     The loop is imported on the first solve that passes the range check, not
     when this module loads, because importing it imports all of
     scipy.optimize, which no other estimator needs. It is kept in the module
     global _brentq, so later solves pay one test of that global."""
-    global _brentq
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
     if not _BRACKET_ETA_MIN <= eta <= _BRACKET_ETA_MAX:
         raise NoBracketError(f"eta={eta!r} is outside the invertible bracket")
     if _brentq is None:
-        from scipy.optimize._zeros import _brentq
-    root, _, _, flag = _brentq(lambda t: _trigamma(t) - eta, _BRACKET_LO, _BRACKET_HI,
-                               1e-14, 4.0 * np.finfo(float).eps, _BRACKET_MAX_ITER,
-                               (), True, False)
+        load_bracketed_solver()
+    root, _, _, flag = _brentq(_trigamma, _BRACKET_LO, _BRACKET_HI, 1e-14, _BRACKET_RTOL,
+                               _BRACKET_MAX_ITER, (eta,), True, False)
     if flag != 0:
         raise NoConvergenceError(f"no convergence after {_BRACKET_MAX_ITER} iterations")
-    if abs(trigamma(root) - eta) > _BRACKET_TOL * max(1.0, eta):
+    if abs(_trigamma(root, eta)) > _BRACKET_TOL * max(1.0, eta):
         raise NoConvergenceError(f"residual above tolerance at x={root!r}")
-    return float(root)
+    return root
 
 
 def trigamma_approx_inverse(eta):

@@ -3,6 +3,7 @@
 import json
 import re
 import shutil
+import signal
 import subprocess
 
 import numpy as np
@@ -123,6 +124,34 @@ class TestMc:
         report = harness.read_report(out, "json")
         assert len(report.cells) == 1
         assert report.cells[0].trials == 2
+
+    @pytest.mark.parametrize("trials, error", [
+        (10 ** 30, "Maximum allowed dimension exceeded"),
+        (10 ** 12, "out of memory: Unable to allocate")])
+    def test_impossible_trial_count_fails_at_once(self, tmp_path, capsys, trials, error):
+        """A cell's stack is allocated before any seed is derived, so a trial
+        count no memory can hold fails in one line instead of running on."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": trials, "alphas": [-3.0], "looks": [1.0],
+                                   "sizes": [9], "models": ["intensity"],
+                                   "estimators": ["poly"]}))
+        out = tmp_path / "report.json"
+
+        def hung(signum, frame):
+            pytest.fail(f"mc with {trials} trials still running after 20 s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(20)
+        try:
+            code = run_cli("mc", "--config", str(cfg), "--out", str(out),
+                           "--format", "json", "--threads", "1")
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"g0lcum: error: {error}") and err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestMap:

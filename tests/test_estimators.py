@@ -248,6 +248,16 @@ class TestBayesCorrection:
         with pytest.raises(ValueError):
             bayes_correct_eta(EtaEstimate(eta_hat=0.5, sigma=-0.1))
 
+    @pytest.mark.parametrize("eta", [EtaEstimate(0.3, sigma=math.nan),
+                                     EtaEstimate(math.nan, sigma=0.2),
+                                     EtaEstimate(math.inf, sigma=0.2),
+                                     EtaEstimate(-math.inf, sigma=0.0)])
+    def test_rejects_nan_and_infinite_input(self, eta):
+        """A NaN eta_m would break the promise of a positive result never
+        below eta_hat."""
+        with pytest.raises(ValueError, match="finite"):
+            bayes_correct_eta(eta)
+
 
 class TestInvertEta:
     def test_traditional_round_trips(self):

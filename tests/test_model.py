@@ -268,6 +268,15 @@ class TestSampleStack:
             one = sample_g0(p, kind, n, seed).values
             assert np.array_equal(row.view(np.uint64), one.view(np.uint64))
 
+    def test_seed_iterator_of_a_given_length(self):
+        p = G0Params(-3.0, unit_mean_gamma(-3.0), 2.0)
+        stack = sample_g0_stack(p, I, 9, STACK_SEEDS)
+        lazy = sample_g0_stack(p, I, 9, iter(STACK_SEEDS), len(STACK_SEEDS))
+        assert np.array_equal(lazy.view(np.uint64), stack.view(np.uint64))
+        for trials in (len(STACK_SEEDS) - 1, len(STACK_SEEDS) + 1):
+            with pytest.raises(ValueError):
+                sample_g0_stack(p, I, 9, iter(STACK_SEEDS), trials)
+
     def test_forced_redraws_stay_on_their_own_rows(self, monkeypatch):
         """The first F quantile call returns inf and 0 at chosen positions of
         rows 1 and 3; each of those rows redraws from its own generator, so

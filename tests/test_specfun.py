@@ -159,14 +159,16 @@ class TestTrigammaInverse:
 
 
 # Run in a fresh interpreter, since this one has imported scipy.optimize for
-# brentq. Only a traditional solve may load it; forked campaign workers whose
-# parent has not loaded it yet load it themselves and agree with a serial run.
+# brentq. Only the traditional estimator may load it: a map and an estimate
+# by the polynomial route leave it unloaded, as does a forked campaign without
+# traditional, while a forked campaign with traditional loads it in the parent
+# before its workers start, and agrees with a serial run.
 LAZY_SOLVER_SCRIPT = textwrap.dedent("""
     import dataclasses, sys
     from pathlib import Path
     import numpy as np
-    from g0lcum import cli, harness, specfun
-    from g0lcum.estimators import EstimatorKind, estimate_alpha, invert_eta
+    from g0lcum import cli, harness
+    from g0lcum.estimators import EstimatorKind, estimate_alpha
     from g0lcum.model import G0Params, ModelKind, sample_g0, unit_mean_gamma
 
     def loaded():
@@ -189,10 +191,10 @@ LAZY_SOLVER_SCRIPT = textwrap.dedent("""
     cfg = harness.MCConfig(alphas=(-3.0,), looks=(1.0, 3.0), sizes=(9, 25), trials=30,
                            models=(ModelKind.INTENSITY,),
                            estimators=(EstimatorKind.TRADITIONAL,))
-    forked = harness.run_campaign(cfg, parallelism=2)
+    harness.run_campaign(dataclasses.replace(cfg, estimators=(EstimatorKind.FAST_POLY,)),
+                         parallelism=2)
     assert not loaded()
-
-    assert invert_eta(specfun.trigamma(3.0), EstimatorKind.TRADITIONAL)[1] is None
+    forked = harness.run_campaign(cfg, parallelism=2)
     assert loaded()
 
     serial = harness.run_campaign(cfg, parallelism=1)
@@ -203,14 +205,31 @@ LAZY_SOLVER_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_only_a_traditional_solve_loads_scipy_optimize(tmp_path):
+def run_fresh(script: str, *args: str) -> None:
+    """Run ``script`` in a fresh interpreter on this package; it must print ok."""
     src = os.path.dirname(os.path.dirname(g0lcum.__file__))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", LAZY_SOLVER_SCRIPT, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "ok\n"
+
+
+def test_only_a_traditional_solve_loads_scipy_optimize(tmp_path):
+    run_fresh(LAZY_SOLVER_SCRIPT, str(tmp_path))
+
+
+def test_the_first_traditional_solve_loads_scipy_optimize():
+    run_fresh(textwrap.dedent("""
+        import sys
+        from g0lcum import specfun
+        from g0lcum.estimators import EstimatorKind, invert_eta
+        assert "scipy.optimize" not in sys.modules
+        assert invert_eta(specfun.trigamma(3.0), EstimatorKind.TRADITIONAL)[1] is None
+        assert "scipy.optimize" in sys.modules
+        print("ok")
+    """))
 
 
 def approx_series(x: float) -> float:
