@@ -16,7 +16,6 @@ from itertools import product
 
 import numpy as np
 
-from . import specfun
 from .estimators import (
     ALPHA_FLOOR,
     EstimatorKind,
@@ -91,6 +90,11 @@ class MCConfig:
             raise ValueError("sizes must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        # A cell's samples are one (trials, n) float64 stack, whose size in
+        # bytes numpy holds in an intp.
+        if self.trials * max(self.sizes) > np.iinfo(np.intp).max // 8:
+            raise ValueError(f"trials {self.trials} at sample size {max(self.sizes)} is "
+                             "more float64 values than one array can hold")
         if not self.alpha_floor < 0.0:
             raise ValueError("alpha_floor must be negative")
 
@@ -219,8 +223,7 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     """Run every cell of the sweep; each trial's sample is shared by all
     requested estimators. Deterministic for a given config regardless of
     the parallelism degree (timing fields excepted). Cells are reported by
-    model, then estimator, then alpha, looks and n. A pool's workers share
-    the bracketed solver, loaded before they start, if traditional runs."""
+    model, then estimator, then alpha, looks and n."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     indices = range(len(cfg.sample_cells()))
@@ -228,8 +231,6 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     if parallelism == 1 or len(indices) == 1:
         partials = list(map(run, indices))
     else:
-        if EstimatorKind.TRADITIONAL in cfg.estimators:
-            specfun.load_bracketed_solver()
         with ProcessPoolExecutor(max_workers=min(parallelism, len(indices))) as pool:
             partials = list(pool.map(run, indices))
     # Sample cells already run in (model, alpha, looks, n) order, and the

@@ -170,8 +170,9 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds,
     sample_g0(params, model, n, seeds[t]).values. ``seeds`` is a sequence,
     or any iterable of exactly ``trials`` seeds; it is read only once the
     stack is allocated, so a size too large to hold fails before any seed
-    is taken. One F quantile runs over the whole stack; each row redraws
-    from its own generator."""
+    is taken. One F quantile runs over the whole stack, and one check finds
+    the rows that need a redraw; each of those redraws from its own
+    generator."""
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n!r}")
@@ -188,10 +189,14 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds,
         za = np.sqrt(scale * specfun.f_quantile(u, d1, d2))
         return za * za if model is ModelKind.INTENSITY else za
 
+    def bad(z: np.ndarray) -> np.ndarray:
+        return ~np.isfinite(z) | (z <= 0.0)
+
     z = draw(u)
-    for row, rng in zip(z, rngs):
-        while (bad := ~np.isfinite(row) | (row <= 0.0)).any():
-            row[bad] = draw(rng.random(int(bad.sum())))
+    for t in np.flatnonzero(bad(z).any(axis=1)):
+        row, rng = z[t], rngs[t]
+        while (redo := bad(row)).any():
+            row[redo] = draw(rng.random(int(redo.sum())))
     return z
 
 

@@ -3,9 +3,13 @@ F-distribution quantile machinery used by the roughness estimators."""
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 
 import numpy as np
+import scipy
 from scipy import special as _sp
 
 
@@ -122,16 +126,29 @@ _BRACKET_LO, _BRACKET_HI = 1e-6, 1e6
 _BRACKET_ETA_MIN, _BRACKET_ETA_MAX = trigamma(_BRACKET_HI), trigamma(_BRACKET_LO)
 _BRACKET_TOL, _BRACKET_MAX_ITER = 1e-10, 200
 _BRACKET_RTOL = 4.0 * np.finfo(float).eps
-# scipy's compiled Brent loop, imported by the first bracketed solve.
-_brentq = None
 
 
-def load_bracketed_solver() -> None:
-    """Import the compiled Brent loop that trigamma_inverse_bracketed runs,
-    if no solve has yet. Processes forked after this call share it."""
-    global _brentq
-    if _brentq is None:
-        from scipy.optimize._zeros import _brentq
+def _load_brentq():
+    """scipy's compiled Brent loop, the routine behind scipy.optimize.brentq,
+    from its extension file loaded on its own: importing it by its scipy name
+    runs the whole scipy.optimize package init, though the file links only
+    libc and libm. Its name here ends in _zeros, the component Python takes
+    the init function's name from, and leaves scipy's own import of the
+    module, before or after this one, as it is."""
+    stem = os.path.join(scipy.__path__[0], "optimize", "_zeros")
+    for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+        if os.path.isfile(stem + suffix):
+            break
+    else:
+        raise ImportError(f"scipy's compiled Brent module {stem} is missing (looked for the "
+                          f"suffixes {importlib.machinery.EXTENSION_SUFFIXES})")
+    spec = importlib.util.spec_from_file_location(f"{__package__}._zeros", stem + suffix)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._brentq
+
+
+_brentq = _load_brentq()
 
 
 def trigamma_inverse_bracketed(eta: float) -> float:
@@ -148,19 +165,13 @@ def trigamma_inverse_bracketed(eta: float) -> float:
     That check cannot fire here: eta is finite before the solve, and on the
     bracket _trigamma is finite and positive, so the objective is finite.
     For the same reason the objective is the unchecked _trigamma itself,
-    which the loop calls with eta as its extra argument.
-
-    The loop is imported on the first solve that passes the range check, not
-    when this module loads, because importing it imports all of
-    scipy.optimize, which no other estimator needs. It is kept in the module
-    global _brentq, so later solves pay one test of that global."""
+    which the loop calls with eta as its extra argument. The loop is bound
+    once, when this module loads, by _load_brentq."""
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
     if not _BRACKET_ETA_MIN <= eta <= _BRACKET_ETA_MAX:
         raise NoBracketError(f"eta={eta!r} is outside the invertible bracket")
-    if _brentq is None:
-        load_bracketed_solver()
     root, _, _, flag = _brentq(_trigamma, _BRACKET_LO, _BRACKET_HI, 1e-14, _BRACKET_RTOL,
                                _BRACKET_MAX_ITER, (eta,), True, False)
     if flag != 0:

@@ -126,11 +126,14 @@ class TestMc:
         assert report.cells[0].trials == 2
 
     @pytest.mark.parametrize("trials, error", [
-        (10 ** 30, "Maximum allowed dimension exceeded"),
+        (10 ** 30, "trials 1000000000000000000000000000000 at sample size 9 is more "
+                   "float64 values than one array can hold"),
+        (2 ** 62, "trials 4611686018427387904 at sample size 9 is more float64 values"),
         (10 ** 12, "out of memory: Unable to allocate")])
     def test_impossible_trial_count_fails_at_once(self, tmp_path, capsys, trials, error):
-        """A cell's stack is allocated before any seed is derived, so a trial
-        count no memory can hold fails in one line instead of running on."""
+        """A trial count no array can hold is rejected with the config, and a
+        cell's stack is allocated before any seed is derived, so a count no
+        memory can hold fails in one line instead of running on."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": trials, "alphas": [-3.0], "looks": [1.0],
                                    "sizes": [9], "models": ["intensity"],

@@ -277,35 +277,44 @@ class TestSampleStack:
             with pytest.raises(ValueError):
                 sample_g0_stack(p, I, 9, iter(STACK_SEEDS), trials)
 
+    @staticmethod
+    def force(monkeypatch, rows, bad):
+        """Patch the F quantile so its first call returns the values ``bad``
+        at the columns ``rows`` maps each row to; returns the list of the
+        shapes of u it is called with."""
+        real = specfun.f_quantile
+        calls = []
+
+        def patched(u, d1, d2):
+            x = real(u, d1, d2)
+            if not calls:
+                for row, cols in rows.items():
+                    x[row, list(cols)] = bad
+            calls.append(np.shape(u))
+            return x
+
+        monkeypatch.setattr(specfun, "f_quantile", patched)
+        return calls
+
     def test_forced_redraws_stay_on_their_own_rows(self, monkeypatch):
         """The first F quantile call returns inf and 0 at chosen positions of
         rows 1 and 3; each of those rows redraws from its own generator, so
         it equals sample_g0 for its seed under the same forcing."""
+        self.check_forced_redraws(monkeypatch, (np.inf, 0.0))
+
+    def test_forced_nan_redraws_stay_on_their_own_rows(self, monkeypatch):
+        self.check_forced_redraws(monkeypatch, np.nan)
+
+    def check_forced_redraws(self, monkeypatch, bad):
         p = G0Params(-3.0, unit_mean_gamma(-3.0), 2.0)
         forced = {1: (2, 5), 3: (0, 8)}
-        real = specfun.f_quantile
         clean = sample_g0_stack(p, I, 9, STACK_SEEDS)
-
-        def force(rows):
-            calls = []
-
-            def patched(u, d1, d2):
-                x = real(u, d1, d2)
-                if not calls:
-                    for row, (inf_col, zero_col) in rows.items():
-                        x[row, inf_col], x[row, zero_col] = np.inf, 0.0
-                calls.append(np.shape(u))
-                return x
-
-            monkeypatch.setattr(specfun, "f_quantile", patched)
-            return calls
-
-        calls = force(forced)
+        calls = self.force(monkeypatch, forced, bad)
         stack = sample_g0_stack(p, I, 9, STACK_SEEDS)
         # One call over the stack, then one per row that redraws.
         assert calls == [(len(STACK_SEEDS), 9), (2,), (2,)]
         for t, seed in enumerate(STACK_SEEDS):
-            force({0: forced[t]} if t in forced else {})
+            self.force(monkeypatch, {0: forced[t]} if t in forced else {}, bad)
             one = sample_g0(p, I, 9, seed).values
             assert np.array_equal(stack[t].view(np.uint64), one.view(np.uint64)), t
             changed = np.flatnonzero(stack[t] != clean[t]).tolist()

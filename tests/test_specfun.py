@@ -159,48 +159,71 @@ class TestTrigammaInverse:
 
 
 # Run in a fresh interpreter, since this one has imported scipy.optimize for
-# brentq. Only the traditional estimator may load it: a map and an estimate
-# by the polynomial route leave it unloaded, as does a forked campaign without
-# traditional, while a forked campaign with traditional loads it in the parent
-# before its workers start, and agrees with a serial run.
-LAZY_SOLVER_SCRIPT = textwrap.dedent("""
-    import dataclasses, sys
+# brentq. No command or estimator loads scipy.optimize: not a map, an estimate
+# by the polynomial or the traditional route, nor a serial or forked campaign
+# with traditional, whose workers inherit the Brent loop; the forked campaign
+# agrees with the serial one.
+NO_OPTIMIZE_SCRIPT = textwrap.dedent("""
+    import contextlib, dataclasses, io, json, sys
     from pathlib import Path
     import numpy as np
-    from g0lcum import cli, harness
-    from g0lcum.estimators import EstimatorKind, estimate_alpha
-    from g0lcum.model import G0Params, ModelKind, sample_g0, unit_mean_gamma
+    from g0lcum import cli, harness, specfun
+    from g0lcum.estimators import EstimatorKind, estimate_alpha, invert_eta
+    from g0lcum.model import G0Params, ModelKind, sample_g0, unit_mean_gamma, write_sample_csv
 
-    def loaded():
-        return "scipy.optimize" in sys.modules
+    def unloaded():
+        return "scipy.optimize" not in sys.modules
 
     tmp = Path(sys.argv[1])
     rng = np.random.default_rng(3)
     (tmp / "grid.csv").write_text("\\n".join(
         ",".join(map(repr, row)) for row in rng.gamma(2.0, 1.0, (8, 8)).tolist()))
-    assert cli.main(["map", "--in", str(tmp / "grid.csv"), "--format", "csv",
-                     "--window", "3", "--looks", "1", "--model", "intensity",
-                     "--estimator", "poly-corrected", "--out", str(tmp / "m.csv"),
-                     "--threads", "1"]) == 0
+    for kind in ("poly-corrected", "traditional"):
+        assert cli.main(["map", "--in", str(tmp / "grid.csv"), "--format", "csv",
+                         "--window", "3", "--looks", "1", "--model", "intensity",
+                         "--estimator", kind, "--out", str(tmp / "m.csv"),
+                         "--threads", "1"]) == 0
+    assert unloaded()
     params = G0Params(alpha=-3.0, gamma=unit_mean_gamma(-3.0), looks=2.0)
     sample = sample_g0(params, ModelKind.INTENSITY, 400, 7)
     res = estimate_alpha(sample, 2.0, ModelKind.INTENSITY, EstimatorKind.FAST_POLY)
     assert res.failure is None
-    assert not loaded()
+    assert unloaded()
+    assert invert_eta(specfun.trigamma(3.0), EstimatorKind.TRADITIONAL)[1] is None
+    write_sample_csv(sample, tmp / "sample.csv")
+    with contextlib.redirect_stdout(io.StringIO()) as payload:
+        assert cli.main(["estimate", "--in", str(tmp / "sample.csv"), "--looks", "2",
+                         "--model", "intensity", "--estimator", "traditional"]) == 0
+    assert json.loads(payload.getvalue())["status"] == "Ok"
+    assert unloaded()
 
     cfg = harness.MCConfig(alphas=(-3.0,), looks=(1.0, 3.0), sizes=(9, 25), trials=30,
                            models=(ModelKind.INTENSITY,),
                            estimators=(EstimatorKind.TRADITIONAL,))
-    harness.run_campaign(dataclasses.replace(cfg, estimators=(EstimatorKind.FAST_POLY,)),
-                         parallelism=2)
-    assert not loaded()
-    forked = harness.run_campaign(cfg, parallelism=2)
-    assert loaded()
-
     serial = harness.run_campaign(cfg, parallelism=1)
+    forked = harness.run_campaign(cfg, parallelism=2)
+    assert unloaded()
     untimed = lambda report: [dataclasses.replace(c, mean_time_ns=0.0) for c in report.cells]
     assert untimed(forked) == untimed(serial)
     assert all(c.successes > 0 for c in forked.cells)
+    print("ok")
+""")
+
+# Run in a fresh interpreter: a traditional solve before or after
+# "import scipy.optimize" (argv[1] says which) leaves that package whole, and
+# its public brentq gives the solve's root to the bit.
+IMPORT_ORDER_SCRIPT = textwrap.dedent("""
+    import sys
+    if sys.argv[1] == "scipy-first":
+        import scipy.optimize
+    from g0lcum import specfun
+    eta = specfun.trigamma(3.0)
+    root = specfun.trigamma_inverse_bracketed(eta)
+    import scipy.optimize
+    assert scipy.optimize._zeros is sys.modules["scipy.optimize._zeros"]
+    assert root == scipy.optimize.brentq(lambda t: specfun.trigamma(t) - eta, 1e-6, 1e6,
+                                         xtol=1e-14, rtol=specfun._BRACKET_RTOL, maxiter=200)
+    assert root == specfun.trigamma_inverse_bracketed(eta)
     print("ok")
 """)
 
@@ -216,20 +239,28 @@ def run_fresh(script: str, *args: str) -> None:
     assert proc.stdout == "ok\n"
 
 
-def test_only_a_traditional_solve_loads_scipy_optimize(tmp_path):
-    run_fresh(LAZY_SOLVER_SCRIPT, str(tmp_path))
+def test_no_command_or_estimator_loads_scipy_optimize(tmp_path):
+    run_fresh(NO_OPTIMIZE_SCRIPT, str(tmp_path))
 
 
-def test_the_first_traditional_solve_loads_scipy_optimize():
+@pytest.mark.parametrize("order", ["g0lcum-first", "scipy-first"])
+def test_either_import_order_leaves_scipy_optimize_whole(order):
+    run_fresh(IMPORT_ORDER_SCRIPT, order)
+
+
+def test_a_missing_brent_module_fails_the_import_naming_its_path(tmp_path):
+    """With scipy's package path pointing first at a directory without
+    optimize/_zeros, importing this package fails and says where it looked."""
     run_fresh(textwrap.dedent("""
-        import sys
-        from g0lcum import specfun
-        from g0lcum.estimators import EstimatorKind, invert_eta
-        assert "scipy.optimize" not in sys.modules
-        assert invert_eta(specfun.trigamma(3.0), EstimatorKind.TRADITIONAL)[1] is None
-        assert "scipy.optimize" in sys.modules
-        print("ok")
-    """))
+        import os, sys
+        import scipy
+        scipy.__path__.insert(0, sys.argv[1])
+        try:
+            import g0lcum
+        except ImportError as exc:
+            assert os.path.join(sys.argv[1], "optimize", "_zeros") in str(exc), exc
+            print("ok")
+    """), str(tmp_path))
 
 
 def approx_series(x: float) -> float:
