@@ -8,6 +8,7 @@ errors."""
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -31,12 +32,18 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="g0lcum", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    # Names in any letter case, as configs and reports take them.
+    models = [k.value for k in model.ModelKind]
+    estimators = [k.value for k in EstimatorKind]
+    # The CPUs this process may run on, where the OS says.
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
     p = sub.add_parser("sample",
                        help="draw a synthetic sample and write it as CSV")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--looks", type=float, required=True)
-    p.add_argument("--model", required=True, choices=["intensity", "amplitude"])
+    p.add_argument("--model", required=True, type=str.lower, choices=models)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--gamma", type=float, default=None,
@@ -47,16 +54,15 @@ def _build_parser() -> _Parser:
                        help="estimate roughness/scale from a sample CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--looks", type=float, required=True)
-    p.add_argument("--model", required=True, choices=["intensity", "amplitude"])
-    p.add_argument("--estimator", required=True,
-                   choices=[k.value for k in EstimatorKind])
+    p.add_argument("--model", required=True, type=str.lower, choices=models)
+    p.add_argument("--estimator", required=True, type=str.lower, choices=estimators)
 
     p = sub.add_parser("mc",
                        help="run a Monte Carlo campaign from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--format", required=True, choices=["csv", "json"])
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=cpus)
 
     p = sub.add_parser("map",
                        help="sliding-window roughness map over a raster")
@@ -64,11 +70,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--format", required=True, choices=["pgm", "rawf32", "csv"])
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--looks", type=float, required=True)
-    p.add_argument("--model", required=True, choices=["intensity", "amplitude"])
-    p.add_argument("--estimator", required=True,
-                   choices=[k.value for k in EstimatorKind])
+    p.add_argument("--model", required=True, type=str.lower, choices=models)
+    p.add_argument("--estimator", required=True, type=str.lower, choices=estimators)
     p.add_argument("--out", required=True)
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    p.add_argument("--threads", type=int, default=cpus)
 
     sub.add_parser("specfun-check",
                    help="run the special-function oracle suites")
@@ -146,6 +151,15 @@ def _cmd_specfun_check(args) -> int:
     return 0 if ok else 1
 
 
+def _check_out(path) -> None:
+    """Raise OSError for an output path that cannot be opened for writing: a
+    directory, an empty path, or a path whose directory does not exist."""
+    if os.path.isdir(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if not path or not os.path.isdir(os.path.dirname(path) or "."):
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -157,6 +171,8 @@ def main(argv=None) -> int:
         "specfun-check": _cmd_specfun_check,
     }
     try:
+        if getattr(args, "out", None) is not None:
+            _check_out(args.out)
         return handlers[args.command](args)
     except (ValueError, model.MomentUndefinedError) as exc:
         print(f"g0lcum: error: {exc}", file=sys.stderr)

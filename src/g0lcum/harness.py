@@ -24,7 +24,8 @@ from .estimators import (
     estimate_from_moments,
     log_moments,
 )
-from .model import G0Params, ModelKind, parse_count, parse_real, sample_g0_stack, unit_mean_gamma
+from .model import (G0Params, ModelKind, check_looks, is_real, parse_count, parse_real,
+                    sample_g0_stack, unit_mean_gamma)
 
 _DEFAULT_ALPHAS = (-1.5, -3.0, -5.0)
 _DEFAULT_LOOKS = (1.0, 3.0, 8.0)
@@ -33,10 +34,6 @@ _DEFAULT_SIZES = (9, 25, 49, 121, 1000)
 
 def _is_int(x) -> bool:
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_real(x) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -56,8 +53,8 @@ class MCConfig:
         for name in sweeps:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list")
-        if not all(_is_real(x) for x in (*self.alphas, *self.looks, self.alpha_floor)):
-            raise ValueError("alphas, looks and alpha_floor must be numbers")
+        if not all(is_real(x) for x in (*self.alphas, self.alpha_floor)):
+            raise ValueError("alphas and alpha_floor must be numbers")
         if not all(_is_int(n) for n in self.sizes):
             raise ValueError("sizes must be integers")
         if not all(isinstance(m, ModelKind) for m in self.models):
@@ -71,7 +68,7 @@ class MCConfig:
         object.__setattr__(self, "trials", int(self.trials))
         object.__setattr__(self, "seed", int(self.seed))
         object.__setattr__(self, "alphas", tuple(map(parse_real, self.alphas)))
-        object.__setattr__(self, "looks", tuple(map(parse_real, self.looks)))
+        object.__setattr__(self, "looks", tuple(map(check_looks, self.looks)))
         object.__setattr__(self, "alpha_floor", parse_real(self.alpha_floor))
         object.__setattr__(self, "sizes", tuple(int(n) for n in self.sizes))
         object.__setattr__(self, "models", tuple(self.models))
@@ -84,8 +81,6 @@ class MCConfig:
                 raise ValueError(f"{name} has a repeated value")
         if any(not a < -1.0 for a in self.alphas):
             raise ValueError("alphas must be < -1 so the unit-mean scale exists")
-        if any(not l >= 1.0 for l in self.looks):
-            raise ValueError("looks must be >= 1")
         if any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive")
         if self.trials < 1:
@@ -160,27 +155,23 @@ class MCReport:
                 return c
         raise KeyError((model, estimator, alpha, looks, n))
 
+    def _marginal(self, axis: str, summed, model, estimator) -> dict:
+        """Per value of the field ``axis``, summed(cell) over its cells (of
+        ``model`` and ``estimator`` where given) divided by their trials."""
+        agg: dict = {}
+        for c in self.cells:
+            if model in (None, c.model) and estimator in (None, c.estimator):
+                total, trials = agg.get(key := getattr(c, axis), (0, 0))
+                agg[key] = (total + summed(c), trials + c.trials)
+        return {key: total / trials for key, (total, trials) in sorted(agg.items())}
+
     def failure_rate_by_looks(self, model: ModelKind | None = None,
                               estimator: EstimatorKind | None = None) -> dict:
         """Failure rate marginalized over everything except looks."""
-        agg: dict = {}
-        for c in self.cells:
-            if model is not None and c.model is not model:
-                continue
-            if estimator is not None and c.estimator is not estimator:
-                continue
-            fails, total = agg.get(c.looks, (0, 0))
-            agg[c.looks] = (fails + c.failure_count(), total + c.trials)
-        return {looks: fails / total for looks, (fails, total) in sorted(agg.items())}
+        return self._marginal("looks", CellStats.failure_count, model, estimator)
 
     def mean_time_by_size(self, estimator: EstimatorKind | None = None) -> dict:
-        agg: dict = {}
-        for c in self.cells:
-            if estimator is not None and c.estimator is not estimator:
-                continue
-            tsum, total = agg.get(c.n, (0.0, 0))
-            agg[c.n] = (tsum + c.mean_time_ns * c.trials, total + c.trials)
-        return {n: tsum / total for n, (tsum, total) in sorted(agg.items())}
+        return self._marginal("n", lambda c: c.mean_time_ns * c.trials, None, estimator)
 
 
 def mse(estimates) -> float:

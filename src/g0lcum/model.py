@@ -17,7 +17,20 @@ from scipy.special import psi
 from . import specfun
 
 
-class ModelKind(enum.Enum):
+class NamedEnum(enum.Enum):
+    """An enum read from its value in any letter case."""
+
+    @classmethod
+    def parse(cls, text: str):
+        try:
+            return cls(text.lower())
+        except ValueError:
+            noun = cls.__name__.removesuffix("Kind").lower()
+            valid = ", ".join(k.value for k in cls)
+            raise ValueError(f"unknown {noun} {text!r}; expected one of {valid}") from None
+
+
+class ModelKind(NamedEnum):
     INTENSITY = "intensity"
     AMPLITUDE = "amplitude"
 
@@ -29,30 +42,37 @@ class ModelKind(enum.Enum):
     def k1_scale(self) -> float:
         return 1.0 if self is ModelKind.INTENSITY else 2.0
 
-    @classmethod
-    def parse(cls, text: str) -> "ModelKind":
-        try:
-            return cls(text.lower())
-        except ValueError:
-            raise ValueError(f"unknown model {text!r}; expected intensity or amplitude") from None
-
 
 # ASCII decimal text: optional sign, digits, point, exponent, and spaces or tabs
 # around. float() alone would also take '_', non-ASCII digits, nan and inf.
 _DECIMAL = re.compile(r"[ \t]*[+-]?(?:\d+(?:\.\d*)?|\.\d+)(?:[eE][+-]?\d+)?[ \t]*", re.ASCII)
 
 
+def is_real(value) -> bool:
+    """A real number that is not a bool; a float skips the slower ABC check."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def parse_real(value) -> float:
     """A finite float from a real number that is not a bool, or from a decimal
     string; anything else, even a value beyond the float range, raises ValueError."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            or isinstance(value, str) and _DECIMAL.fullmatch(value)):
+    if is_real(value) or isinstance(value, str) and _DECIMAL.fullmatch(value):
         try:
             if math.isfinite(x := float(value)):
                 return x
         except OverflowError:
             pass
     raise ValueError(f"{value!r} is not a finite number")
+
+
+def check_looks(value) -> float:
+    """Looks L as a float from a real number, not a bool, with 1 <= L < inf."""
+    try:
+        if is_real(value) and 1.0 <= (looks := float(value)) < math.inf:
+            return looks
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ValueError(f"looks must be >= 1, got {value!r}")
 
 
 def parse_count(value) -> int:
@@ -79,8 +99,7 @@ class G0Params:
             raise ValueError(f"alpha must be negative, got {self.alpha!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-        if not (math.isfinite(self.looks) and self.looks >= 1.0):
-            raise ValueError(f"looks must be >= 1, got {self.looks!r}")
+        check_looks(self.looks)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,6 @@ window's strictly positive neighbors."""
 from __future__ import annotations
 
 import json
-import math
 import re
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -22,7 +21,7 @@ from .estimators import (
     estimate_from_moments,
     log_moments,
 )
-from .model import ModelKind, parse_real
+from .model import ModelKind, check_looks, parse_real
 
 # Windows per chunk of the map's moments phase. Each chunk holds copies of
 # its windows; a row wider than this is cut into column spans, so the chunk
@@ -61,8 +60,7 @@ class Raster:
                              f"got {arr.size}")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("pixels must be finite and nonnegative")
-        if not (math.isfinite(self.looks) and self.looks >= 1.0):
-            raise ValueError("looks must be >= 1")
+        check_looks(self.looks)
         object.__setattr__(self, "pixels", arr)
 
     def grid(self) -> np.ndarray:
@@ -263,7 +261,7 @@ def _estimate_windows(n, k1, k2, m4, model, looks, kind, alpha_floor) -> tuple:
 
 
 def roughness_map(r: Raster, window: int, kind: EstimatorKind,
-                  parallelism: int = 1, alpha_floor: float = ALPHA_FLOOR) -> RoughnessMap:
+                  parallelism: int = 1) -> RoughnessMap:
     """Per-pixel roughness over every pixel whose full window fits in the
     raster; the border frame stays absent. Zero pixels are dropped from each
     window, and windows with fewer than 4 usable pixels count as failures.
@@ -290,7 +288,7 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
     moments = _map_moments(logs, window, parallelism)
     t1 = time.perf_counter_ns()
-    a, g, code = _estimate_windows(*moments, r.model, r.looks, kind, alpha_floor)
+    a, g, code = _estimate_windows(*moments, r.model, r.looks, kind, ALPHA_FLOOR)
     t2 = time.perf_counter_ns()
     alpha, gamma = np.full((2, r.height, r.width), np.nan)
     half = window // 2
@@ -301,7 +299,7 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
                         failures=count_failures(code),
                         sparse_windows=int(np.count_nonzero(code == _SPARSE)),
                         elapsed_ns=elapsed,
-                        window=window, estimator=kind, alpha_floor=alpha_floor,
+                        window=window, estimator=kind, alpha_floor=ALPHA_FLOOR,
                         model=r.model, looks=r.looks,
                         moments_ns=t1 - t0, estimate_ns=t2 - t1)
 

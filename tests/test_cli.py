@@ -1,6 +1,7 @@
 """Command-line binding: flag surfaces, JSON/CSV outputs, exit codes."""
 
 import json
+import os
 import re
 import shutil
 import signal
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import g0lcum
-from g0lcum import cli, harness
+from g0lcum import cli, harness, model, raster
 from g0lcum.cli import main
 from g0lcum.estimators import EstimatorKind, estimate_alpha
 from g0lcum.model import ModelKind, read_sample_csv
@@ -386,6 +387,90 @@ class TestExitCodes:
             run_cli("sample", "--alpha", "-3")
         assert exc.value.code == 1
         assert "--looks" in capsys.readouterr().err
+
+
+class TestOutCheckedFirst:
+    """An --out that cannot be written fails with exit 2 before any work,
+    and creates no file."""
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("work ran before --out was checked")
+
+        for module, name in ((harness, "run_campaign"), (raster, "roughness_map"),
+                             (model, "sample_g0")):
+            monkeypatch.setattr(module, name, fail)
+
+    def commands(self, tmp_path, out):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"trials": 1}')
+        grid = tmp_path / "grid.csv"
+        grid.write_text("1,2,3\n4,5,6\n7,8,9\n")
+        return [["mc", "--config", str(cfg), "--out", out, "--format", "csv",
+                 "--threads", "1"],
+                ["map", "--in", str(grid), "--format", "csv", "--window", "3",
+                 "--looks", "1", "--model", "intensity", "--estimator", "poly",
+                 "--out", out, "--threads", "1"],
+                ["sample", "--alpha", "-3", "--looks", "2", "--model", "intensity",
+                 "--n", "5", "--seed", "7", "--out", out]]
+
+    def test_missing_directory(self, tmp_path, capsys, no_work):
+        out = tmp_path / "missing" / "r.csv"
+        for argv in self.commands(tmp_path, str(out)):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2
+            err = capsys.readouterr().err
+            assert err == f"g0lcum: i/o error: [Errno 2] No such file or directory: '{out}'\n"
+        assert not out.parent.exists()
+
+    def test_empty_path(self, tmp_path, capsys, no_work):
+        for argv in self.commands(tmp_path, ""):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr().err == ("g0lcum: i/o error: [Errno 2] "
+                                               "No such file or directory: ''\n")
+
+    def test_out_is_a_directory(self, tmp_path, capsys, no_work):
+        out = tmp_path / "dir"
+        out.mkdir()
+        for argv in self.commands(tmp_path, str(out)):
+            capsys.readouterr()
+            assert run_cli(*argv) == 2
+            assert capsys.readouterr().err.startswith("g0lcum: i/o error: [Errno 21] ")
+        assert list(out.iterdir()) == []
+
+
+class TestNamesAndDefaults:
+    def test_names_in_any_case(self, tmp_path, capsys):
+        """The command line takes model and estimator names as configs do."""
+        path = write_sample(tmp_path)
+        capsys.readouterr()
+        assert run_cli("estimate", "--in", str(path), "--looks", "2",
+                       "--model", "Intensity", "--estimator", "POLY-Corrected") == 0
+        mixed = json.loads(capsys.readouterr().out)
+        assert run_cli("estimate", "--in", str(path), "--looks", "2",
+                       "--model", "intensity", "--estimator", "poly-corrected") == 0
+        lower = json.loads(capsys.readouterr().out)
+        mixed.pop("elapsed_ns"), lower.pop("elapsed_ns")
+        assert mixed == lower
+        with pytest.raises(SystemExit) as exc:
+            run_cli("estimate", "--in", str(path), "--looks", "2",
+                    "--model", "power", "--estimator", "poly")
+        assert exc.value.code == 1
+        assert "choose from 'intensity', 'amplitude'" in capsys.readouterr().err
+
+    def test_threads_default_is_the_affinity(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        cli._build_parser.cache_clear()
+        try:
+            for argv in (["mc", "--config", "c", "--out", "o", "--format", "csv"],
+                         ["map", "--in", "i", "--format", "csv", "--window", "3",
+                          "--looks", "1", "--model", "intensity", "--estimator", "poly",
+                          "--out", "o"]):
+                assert cli._build_parser().parse_args(argv).threads == 1
+        finally:
+            cli._build_parser.cache_clear()
 
 
 class TestParserReuse:

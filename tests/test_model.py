@@ -27,10 +27,15 @@ from g0lcum import (
     unit_mean_gamma,
     write_sample_csv,
 )
-from g0lcum.estimators import EstimatorKind, FailureReason
-from g0lcum.harness import CellStats, MCReport, read_report, write_report
-from g0lcum.model import parse_real, sample_g0_stack
-from g0lcum.raster import RasterFormatError, read_raster
+from g0lcum.estimators import (
+    EstimatorKind,
+    FailureReason,
+    estimate_alpha,
+    estimate_from_moments,
+)
+from g0lcum.harness import CellStats, MCConfig, MCReport, read_report, write_report
+from g0lcum.model import check_looks, parse_real, sample_g0_stack
+from g0lcum.raster import Raster, RasterFormatError, read_raster
 
 I = ModelKind.INTENSITY
 A = ModelKind.AMPLITUDE
@@ -462,3 +467,43 @@ class TestParseReal:
     @pytest.mark.parametrize("reader, text", _reader_cases())
     def test_every_reader_rejects(self, tmp_path, capsys, reader, text):
         READERS[reader](tmp_path, capsys, text)
+
+
+class TestCheckLooks:
+    @pytest.mark.parametrize("value", [1, 1.0, 2.5, np.float32(3.0), np.int64(4),
+                                       sys.float_info.max])
+    def test_accepts(self, value):
+        looks = check_looks(value)
+        assert type(looks) is float and looks == value
+
+    @pytest.mark.parametrize("value", [
+        True, 0.5, 0, -1.0, math.nan, math.inf, "2", None,
+        pytest.param(10 ** 400, id="400-digits")])
+    def test_rejects_with_one_message(self, value):
+        with pytest.raises(ValueError, match=re.escape(f"looks must be >= 1, got {value!r}")):
+            check_looks(value)
+
+    def test_every_check_rejects_a_bool(self):
+        """A bool is not a number of looks anywhere it is taken."""
+        s = Sample(values=np.array([1.0, 2.0, 4.0, 8.0]), model=I)
+        checks = [
+            lambda: G0Params(alpha=-2.0, gamma=1.0, looks=True),
+            lambda: estimate_alpha(s, True, I, EstimatorKind.FAST_POLY),
+            lambda: estimate_from_moments([9], [0.0], [1.0], [3.0], True, I,
+                                          EstimatorKind.FAST_POLY),
+            lambda: Raster(width=1, height=1, pixels=np.ones(1), model=I, looks=True),
+            lambda: MCConfig(looks=(True,)),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match="looks must be >= 1, got True"):
+                check()
+
+
+class TestParseName:
+    @pytest.mark.parametrize("kind, text", [(ModelKind, "power"), (EstimatorKind, "fastest")])
+    def test_one_message(self, kind, text):
+        noun = "model" if kind is ModelKind else "estimator"
+        valid = ", ".join(k.value for k in kind)
+        with pytest.raises(ValueError,
+                           match=re.escape(f"unknown {noun} {text!r}; expected one of {valid}")):
+            kind.parse(text)
