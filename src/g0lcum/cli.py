@@ -12,16 +12,26 @@ import errno
 import functools
 import json
 import os
+import re
 import sys
 
 import numpy as np
-from scipy.special import psi
 
 from . import harness, model, raster, specfun
 from .estimators import EstimatorKind, estimate_alpha
 
 
+# A negative decimal, exponent included, is a flag's value, not an option.
+# The rule argparse has in Python 3.11 misses the exponent: "--alpha -2e0"
+# failed with "expected one argument".
+_NEGATIVE_NUMBER = re.compile(r"-(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
+
     def error(self, message):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
@@ -138,7 +148,7 @@ def _cmd_specfun_check(args) -> int:
     xs = np.logspace(np.log10(0.5), 2.0, 200)
     tri = max(abs(specfun.trigamma(x) - specfun.trigamma_series_oracle(x))
               / specfun.trigamma_series_oracle(x) for x in xs)
-    dig = max(abs(psi(x) - specfun.digamma_series_oracle(x))
+    dig = max(abs(specfun.psi(x) - specfun.digamma_series_oracle(x))
               / max(1e-9, abs(specfun.digamma_series_oracle(x))) for x in xs)
     us = (0.01, 0.1, 0.5, 0.9, 0.99)
     dof = ((2.0, 4.0), (1.0, 6.0), (16.0, 3.0))

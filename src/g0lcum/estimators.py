@@ -11,10 +11,10 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import log_ndtr as _log_ndtr
-from scipy.special import psi as _psi
 
 from . import specfun
+from .specfun import log_ndtr as _log_ndtr
+from .specfun import psi as _psi
 from .model import LogCumulants, ModelKind, NamedEnum, Sample, check_looks
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)

@@ -8,7 +8,6 @@ import csv
 import enum
 import functools
 import json
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
@@ -16,6 +15,7 @@ from itertools import product
 
 import numpy as np
 
+from . import specfun
 from .estimators import (
     ALPHA_FLOOR,
     EstimatorKind,
@@ -24,16 +24,12 @@ from .estimators import (
     estimate_from_moments,
     log_moments,
 )
-from .model import (G0Params, ModelKind, check_looks, is_real, parse_count, parse_real,
-                    sample_g0_stack, unit_mean_gamma)
+from .model import (G0Params, ModelKind, check_looks, check_seed, is_int, is_real,
+                    parse_count, parse_real, sample_g0_stack, unit_mean_gamma)
 
 _DEFAULT_ALPHAS = (-1.5, -3.0, -5.0)
 _DEFAULT_LOOKS = (1.0, 3.0, 8.0)
 _DEFAULT_SIZES = (9, 25, 49, 121, 1000)
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -55,18 +51,16 @@ class MCConfig:
                 raise ValueError(f"{name} must be a list")
         if not all(is_real(x) for x in (*self.alphas, self.alpha_floor)):
             raise ValueError("alphas and alpha_floor must be numbers")
-        if not all(_is_int(n) for n in self.sizes):
+        if not all(is_int(n) for n in self.sizes):
             raise ValueError("sizes must be integers")
         if not all(isinstance(m, ModelKind) for m in self.models):
             raise ValueError("models must be ModelKind members")
         if not all(isinstance(e, EstimatorKind) for e in self.estimators):
             raise ValueError("estimators must be EstimatorKind members")
-        if not _is_int(self.trials):
+        if not is_int(self.trials):
             raise ValueError("trials must be an integer")
-        if not (_is_int(self.seed) and self.seed >= 0):
-            raise ValueError("seed must be a nonnegative integer")
         object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "seed", check_seed(self.seed))
         object.__setattr__(self, "alphas", tuple(map(parse_real, self.alphas)))
         object.__setattr__(self, "looks", tuple(map(check_looks, self.looks)))
         object.__setattr__(self, "alpha_floor", parse_real(self.alpha_floor))
@@ -222,6 +216,7 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     if parallelism == 1 or len(indices) == 1:
         partials = list(map(run, indices))
     else:
+        specfun.import_special()  # once, before the workers fork
         with ProcessPoolExecutor(max_workers=min(parallelism, len(indices))) as pool:
             partials = list(pool.map(run, indices))
     # Sample cells already run in (model, alpha, looks, n) order, and the

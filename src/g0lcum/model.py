@@ -12,9 +12,9 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import psi
 
 from . import specfun
+from .specfun import psi
 
 
 class NamedEnum(enum.Enum):
@@ -53,6 +53,11 @@ def is_real(value) -> bool:
     return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_int(value) -> bool:
+    """An integer that is not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def parse_real(value) -> float:
     """A finite float from a real number that is not a bool, or from a decimal
     string; anything else, even a value beyond the float range, raises ValueError."""
@@ -73,6 +78,13 @@ def check_looks(value) -> float:
     except OverflowError:  # an int beyond the float range
         pass
     raise ValueError(f"looks must be >= 1, got {value!r}")
+
+
+def check_seed(value) -> int:
+    """A generator seed as an int from an integer, not a bool, that is >= 0."""
+    if is_int(value) and value >= 0:
+        return int(value)
+    raise ValueError(f"seed must be a nonnegative integer, got {value!r}")
 
 
 def parse_count(value) -> int:
@@ -226,7 +238,8 @@ def sample_g0(params: G0Params, model: ModelKind, n: int, seed: int) -> Sample:
     identical (params, model, n, seed) always yields the identical sample.
     Uniform draws are taken from the open interval: endpoints and any
     non-finite or nonpositive transform output are redrawn."""
-    return Sample(values=sample_g0_stack(params, model, n, [seed])[0], model=model)
+    return Sample(values=sample_g0_stack(params, model, n, [check_seed(seed)])[0],
+                  model=model)
 
 
 def write_sample_csv(s: Sample, path) -> None:

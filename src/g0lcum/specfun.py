@@ -10,7 +10,6 @@ import os
 
 import numpy as np
 import scipy
-from scipy import special as _sp
 
 
 class NoBracketError(Exception):
@@ -46,7 +45,7 @@ def _check_positive(x, name: str) -> float:
 def ln_gamma(x: float) -> float:
     """Natural log of the gamma function on the positive axis."""
     x = _check_positive(x, "x")
-    return float(_sp.gammaln(x))
+    return float(gammaln(x))
 
 
 def trigamma(x: float) -> float:
@@ -128,27 +127,62 @@ _BRACKET_TOL, _BRACKET_MAX_ITER = 1e-10, 200
 _BRACKET_RTOL = 4.0 * np.finfo(float).eps
 
 
-def _load_brentq():
-    """scipy's compiled Brent loop, the routine behind scipy.optimize.brentq,
-    from its extension file loaded on its own: importing it by its scipy name
-    runs the whole scipy.optimize package init, though the file links only
-    libc and libm. Its name here ends in _zeros, the component Python takes
-    the init function's name from, and leaves scipy's own import of the
-    module, before or after this one, as it is."""
-    stem = os.path.join(scipy.__path__[0], "optimize", "_zeros")
+def _load_extension(path: str):
+    """One of scipy's compiled extension modules, scipy/<path> plus this
+    platform's extension suffix, loaded from its file on its own. Importing
+    such a module by its scipy name first runs the init of every package
+    above it, which for scipy.optimize and scipy.special costs far more than
+    the module. Its name here is this package's plus the file's stem, the
+    component Python takes the init function's name from, so scipy's own
+    import of the module, before or after this one, is left as it is.
+    Raises ImportError naming the path when the file is missing."""
+    stem = os.path.join(scipy.__path__[0], *path.split("/"))
     for suffix in importlib.machinery.EXTENSION_SUFFIXES:
         if os.path.isfile(stem + suffix):
             break
     else:
-        raise ImportError(f"scipy's compiled Brent module {stem} is missing (looked for the "
+        raise ImportError(f"scipy's compiled module {stem} is missing (looked for the "
                           f"suffixes {importlib.machinery.EXTENSION_SUFFIXES})")
-    spec = importlib.util.spec_from_file_location(f"{__package__}._zeros", stem + suffix)
+    spec = importlib.util.spec_from_file_location(
+        f"{__package__}.{os.path.basename(stem)}", stem + suffix)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module._brentq
+    return module
 
 
-_brentq = _load_brentq()
+# scipy's compiled Brent loop, the routine behind scipy.optimize.brentq; its
+# file links only libc and libm.
+_brentq = _load_extension("optimize/_zeros")._brentq
+
+
+def import_special():
+    """scipy.special, for the F law's betaincinv and betainc. They exist only
+    in its Cython ufunc module, whose init runs the whole package's, so the
+    package is imported on the first draw rather than by every process that
+    imports this one. A process about to fork workers that draw calls this
+    first, so that they share its copy rather than each import their own."""
+    from scipy import special
+
+    return special
+
+
+def _load_special_ufuncs():
+    """psi, log_ndtr and gammaln with the file they came from: scipy's
+    special/_special_ufuncs, whose objects scipy.special exports under the
+    same names, or scipy.special itself in a scipy without that file or
+    without one of the three in it."""
+    names = ("psi", "log_ndtr", "gammaln")
+    try:
+        module = _load_extension("special/_special_ufuncs")
+        return tuple(getattr(module, name) for name in names), module.__file__
+    except (ImportError, AttributeError):
+        special = import_special()
+        return tuple(getattr(special, name) for name in names), special.__file__
+
+
+# The estimators' digamma, the Bayes correction's log normal CDF and the
+# density's log gamma. SPECIAL_UFUNCS_SOURCE names the file they came from.
+(psi, log_ndtr, gammaln), SPECIAL_UFUNCS_SOURCE = _load_special_ufuncs()
 
 
 def trigamma_inverse_bracketed(eta: float) -> float:
@@ -166,7 +200,7 @@ def trigamma_inverse_bracketed(eta: float) -> float:
     bracket _trigamma is finite and positive, so the objective is finite.
     For the same reason the objective is the unchecked _trigamma itself,
     which the loop calls with eta as its extra argument. The loop is bound
-    once, when this module loads, by _load_brentq."""
+    once, when this module loads."""
     eta = float(eta)
     if not math.isfinite(eta):
         raise ValueError(f"eta must be finite, got {eta!r}")
@@ -231,7 +265,7 @@ def f_quantile(u, d1: float, d2: float):
     uu = np.asarray(u, dtype=float)
     if np.any(uu < 0.0) or np.any(uu >= 1.0):
         raise ValueError("u must lie in [0, 1); u = 1 maps to +infinity")
-    y = _sp.betaincinv(0.5 * d1, 0.5 * d2, uu)
+    y = import_special().betaincinv(0.5 * d1, 0.5 * d2, uu)
     with np.errstate(divide="ignore"):
         x = d2 * y / (d1 * (1.0 - y))
     if np.ndim(u) == 0:
@@ -245,7 +279,8 @@ def f_cdf(x, d1: float, d2: float):
     d2 = _check_positive(d2, "d2")
     xx = np.asarray(x, dtype=float)
     y = d1 * xx / (d1 * xx + d2)
-    out = np.where(xx <= 0.0, 0.0, _sp.betainc(0.5 * d1, 0.5 * d2, np.clip(y, 0.0, 1.0)))
+    cdf = import_special().betainc(0.5 * d1, 0.5 * d2, np.clip(y, 0.0, 1.0))
+    out = np.where(xx <= 0.0, 0.0, cdf)
     if np.ndim(x) == 0:
         return float(out)
     return out

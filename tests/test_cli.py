@@ -58,6 +58,16 @@ class TestSample:
                         default.read_text().splitlines()[1:])]
         assert ratio == pytest.approx([4.0] * 5, rel=1e-12)
 
+    @pytest.mark.parametrize("written, plain", [("-2e0", "-2"), ("-1.5E+1", "-15")])
+    def test_negative_alpha_with_an_exponent(self, tmp_path, written, plain):
+        """A negative value in exponent notation is the flag's value, not an option."""
+        paths = []
+        for alpha in (written, plain):
+            paths.append(tmp_path / f"{alpha}.csv")
+            assert run_cli("sample", "--alpha", alpha, "--looks", "2", "--model", "intensity",
+                           "--n", "5", "--seed", "7", "--out", str(paths[-1])) == 0
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
 
 class TestEstimate:
     def test_single_json_line_on_stdout(self, tmp_path, capsys):
@@ -360,6 +370,19 @@ class TestExitCodes:
         assert run_cli("sample", "--alpha", "1.0", "--looks", "2",
                        "--model", "intensity", "--n", "5", "--seed", "1",
                        "--out", str(tmp_path / "s.csv")) == 1
+
+    def test_negative_seed_is_domain_error_naming_the_seed(self, tmp_path, capsys):
+        """The sampler and a campaign config reject a negative seed in one message."""
+        message = "g0lcum: error: seed must be a nonnegative integer, got -1\n"
+        assert run_cli("sample", "--alpha", "-3", "--looks", "2", "--model", "intensity",
+                       "--n", "5", "--seed", "-1", "--out", str(tmp_path / "s.csv")) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "s.csv").exists()
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"seed": -1}')
+        assert run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
+                       "--format", "csv") == 1
+        assert capsys.readouterr().err == message
 
     def test_even_window_is_domain_error(self, tmp_path):
         grid = tmp_path / "grid.csv"

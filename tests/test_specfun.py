@@ -3,11 +3,14 @@ oracles and frozen high-precision references, the inverse trigamma, the
 inverse of the approximation behind the degree-7 roughness polynomial, and
 the F-distribution quantile."""
 
+import dataclasses
+import json
 import math
 import os
 import subprocess
 import sys
 import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +18,9 @@ from scipy.optimize import brentq
 from scipy.special import psi
 
 import g0lcum
-from g0lcum import specfun
+from g0lcum import harness, specfun
+from g0lcum.estimators import EstimatorKind
+from g0lcum.model import G0Params, ModelKind, sample_g0
 from g0lcum.specfun import (
     NoBracketError,
     NoConvergenceError,
@@ -159,22 +164,28 @@ class TestTrigammaInverse:
 
 
 # Run in a fresh interpreter, since this one has imported scipy.optimize for
-# brentq. No command or estimator loads scipy.optimize: not a map, an estimate
-# by the polynomial or the traditional route, nor a serial or forked campaign
-# with traditional, whose workers inherit the Brent loop; the forked campaign
-# agrees with the serial one.
+# brentq and scipy.special for psi. Neither package is loaded by an import of
+# this package, a map (polynomial or traditional), an estimate by any of the
+# four estimators, or a traditional inversion. A sample, or a forked campaign
+# before its workers start (argv[2] says which comes first), loads
+# scipy.special for the F quantile, and the sample's bits and the campaign's
+# cells are those this interpreter got (argv[1]/expected.json). A serial or
+# forked campaign with traditional still leaves scipy.optimize out: its workers
+# inherit the Brent loop, and the forked campaign agrees with the serial one.
 NO_OPTIMIZE_SCRIPT = textwrap.dedent("""
     import contextlib, dataclasses, io, json, sys
     from pathlib import Path
     import numpy as np
     from g0lcum import cli, harness, specfun
-    from g0lcum.estimators import EstimatorKind, estimate_alpha, invert_eta
-    from g0lcum.model import G0Params, ModelKind, sample_g0, unit_mean_gamma, write_sample_csv
+    from g0lcum.estimators import EstimatorKind, invert_eta
+    from g0lcum.model import G0Params, ModelKind, sample_g0
 
-    def unloaded():
-        return "scipy.optimize" not in sys.modules
+    def loaded(package):
+        return package in sys.modules
 
-    tmp = Path(sys.argv[1])
+    tmp, first = Path(sys.argv[1]), sys.argv[2]
+    expected = json.loads((tmp / "expected.json").read_text())
+    assert not loaded("scipy.optimize") and not loaded("scipy.special")
     rng = np.random.default_rng(3)
     (tmp / "grid.csv").write_text("\\n".join(
         ",".join(map(repr, row)) for row in rng.gamma(2.0, 1.0, (8, 8)).tolist()))
@@ -183,47 +194,63 @@ NO_OPTIMIZE_SCRIPT = textwrap.dedent("""
                          "--window", "3", "--looks", "1", "--model", "intensity",
                          "--estimator", kind, "--out", str(tmp / "m.csv"),
                          "--threads", "1"]) == 0
-    assert unloaded()
-    params = G0Params(alpha=-3.0, gamma=unit_mean_gamma(-3.0), looks=2.0)
-    sample = sample_g0(params, ModelKind.INTENSITY, 400, 7)
-    res = estimate_alpha(sample, 2.0, ModelKind.INTENSITY, EstimatorKind.FAST_POLY)
-    assert res.failure is None
-    assert unloaded()
+    # Unit-mean G0 intensity, alpha -3 and L 2, drawn without the sampler.
+    values = rng.gamma(2.0, 0.5, 400) * 2.0 / rng.gamma(3.0, 1.0, 400)
+    (tmp / "sample.csv").write_text("z\\n" + "\\n".join(map(repr, values.tolist())))
+    for kind in EstimatorKind:
+        with contextlib.redirect_stdout(io.StringIO()) as payload:
+            assert cli.main(["estimate", "--in", str(tmp / "sample.csv"), "--looks", "2",
+                             "--model", "intensity", "--estimator", kind.value]) == 0
+        assert json.loads(payload.getvalue())["status"] == "Ok", kind
     assert invert_eta(specfun.trigamma(3.0), EstimatorKind.TRADITIONAL)[1] is None
-    write_sample_csv(sample, tmp / "sample.csv")
-    with contextlib.redirect_stdout(io.StringIO()) as payload:
-        assert cli.main(["estimate", "--in", str(tmp / "sample.csv"), "--looks", "2",
-                         "--model", "intensity", "--estimator", "traditional"]) == 0
-    assert json.loads(payload.getvalue())["status"] == "Ok"
-    assert unloaded()
+    assert not loaded("scipy.optimize") and not loaded("scipy.special")
 
-    cfg = harness.MCConfig(alphas=(-3.0,), looks=(1.0, 3.0), sizes=(9, 25), trials=30,
-                           models=(ModelKind.INTENSITY,),
-                           estimators=(EstimatorKind.TRADITIONAL,))
-    serial = harness.run_campaign(cfg, parallelism=1)
-    forked = harness.run_campaign(cfg, parallelism=2)
-    assert unloaded()
-    untimed = lambda report: [dataclasses.replace(c, mean_time_ns=0.0) for c in report.cells]
-    assert untimed(forked) == untimed(serial)
-    assert all(c.successes > 0 for c in forked.cells)
+    def sample():
+        params = G0Params(alpha=-3.0, gamma=2.0, looks=2.0)
+        return sample_g0(params, ModelKind.INTENSITY, 400, 7).values.tolist()
+
+    def campaign():
+        cfg = harness.MCConfig.from_json(expected["config"])
+        forked = harness.run_campaign(cfg, parallelism=2)
+        assert loaded("scipy.special")
+        serial = harness.run_campaign(cfg, parallelism=1)
+        untimed = lambda report: [dataclasses.replace(c, mean_time_ns=0.0)
+                                  for c in report.cells]
+        assert untimed(forked) == untimed(serial)
+        assert all(c.successes > 0 for c in forked.cells)
+        return repr(untimed(serial))
+
+    steps = {"sample": sample, "campaign": campaign}
+    for name in sorted(steps, key=lambda name: name != first):
+        assert steps[name]() == expected[name], name
+        assert loaded("scipy.special") and not loaded("scipy.optimize")
     print("ok")
 """)
 
 # Run in a fresh interpreter: a traditional solve before or after
-# "import scipy.optimize" (argv[1] says which) leaves that package whole, and
-# its public brentq gives the solve's root to the bit.
+# "import scipy.optimize, scipy.special" (argv[1] says which) leaves those
+# packages whole; the public brentq gives the solve's root to the bit, and
+# scipy.special's psi, log_ndtr and gammaln give this package's bits over grids
+# that span the float range and the poles.
 IMPORT_ORDER_SCRIPT = textwrap.dedent("""
     import sys
+    import numpy as np
     if sys.argv[1] == "scipy-first":
-        import scipy.optimize
+        import scipy.optimize, scipy.special
     from g0lcum import specfun
     eta = specfun.trigamma(3.0)
     root = specfun.trigamma_inverse_bracketed(eta)
-    import scipy.optimize
+    import scipy.optimize, scipy.special
     assert scipy.optimize._zeros is sys.modules["scipy.optimize._zeros"]
     assert root == scipy.optimize.brentq(lambda t: specfun.trigamma(t) - eta, 1e-6, 1e6,
                                          xtol=1e-14, rtol=specfun._BRACKET_RTOL, maxiter=200)
     assert root == specfun.trigamma_inverse_bracketed(eta)
+    grid = np.concatenate([np.geomspace(1e-300, 1e300, 50_000),
+                           -np.geomspace(1e-300, 1e300, 50_000),
+                           np.linspace(-60.0, 60.0, 100_001), [0.0, -0.0, np.inf, -np.inf]])
+    for name in ("psi", "log_ndtr", "gammaln"):
+        ours, scipys = getattr(specfun, name)(grid), getattr(scipy.special, name)(grid)
+        assert ours.tobytes() == scipys.tobytes(), name
     print("ok")
 """)
 
@@ -240,7 +267,17 @@ def run_fresh(script: str, *args: str) -> None:
 
 
 def test_no_command_or_estimator_loads_scipy_optimize(tmp_path):
-    run_fresh(NO_OPTIMIZE_SCRIPT, str(tmp_path))
+    cfg = harness.MCConfig(alphas=(-3.0,), looks=(1.0, 3.0), sizes=(9, 25), trials=30,
+                           models=(ModelKind.INTENSITY,),
+                           estimators=(EstimatorKind.TRADITIONAL,))
+    untimed = [dataclasses.replace(c, mean_time_ns=0.0)
+               for c in harness.run_campaign(cfg, parallelism=1).cells]
+    params = G0Params(alpha=-3.0, gamma=2.0, looks=2.0)
+    (tmp_path / "expected.json").write_text(json.dumps({
+        "config": cfg.to_json(), "campaign": repr(untimed),
+        "sample": sample_g0(params, ModelKind.INTENSITY, 400, 7).values.tolist()}))
+    for first in ("sample", "campaign"):
+        run_fresh(NO_OPTIMIZE_SCRIPT, str(tmp_path), first)
 
 
 @pytest.mark.parametrize("order", ["g0lcum-first", "scipy-first"])
@@ -261,6 +298,30 @@ def test_a_missing_brent_module_fails_the_import_naming_its_path(tmp_path):
             assert os.path.join(sys.argv[1], "optimize", "_zeros") in str(exc), exc
             print("ok")
     """), str(tmp_path))
+
+
+def test_a_missing_special_ufuncs_module_falls_back_to_scipy_special(tmp_path):
+    """With scipy's package path pointing first at a directory that holds
+    optimize/_zeros but not special/_special_ufuncs, this package imports,
+    takes psi, log_ndtr and gammaln from scipy.special, and gives the scalar
+    path's golden bits."""
+    zeros = Path(sys.modules["scipy.optimize._zeros"].__file__)
+    (tmp_path / "optimize").mkdir()
+    (tmp_path / "optimize" / zeros.name).symlink_to(zeros)
+    run_fresh(textwrap.dedent("""
+        import sys
+        import scipy
+        scipy.__path__.insert(0, sys.argv[1])
+        sys.path.insert(0, sys.argv[2])
+        from g0lcum import specfun
+        import scipy.special
+        assert specfun.SPECIAL_UFUNCS_SOURCE == scipy.special.__file__
+        assert specfun.psi is scipy.special.psi and specfun.gammaln is scipy.special.gammaln
+        assert specfun.log_ndtr is scipy.special.log_ndtr
+        import test_scalar_golden
+        test_scalar_golden.test_scalar_path_matches_golden_bits()
+        print("ok")
+    """), str(tmp_path), os.path.dirname(__file__))
 
 
 def approx_series(x: float) -> float:
