@@ -1,9 +1,9 @@
 """Command-line surface: synthetic sampling, single-sample estimation,
 Monte Carlo campaigns, roughness maps, and the special-function self-check.
 
-Exit codes: 0 success, 1 domain/validation error or out of memory, 2 I/O
-error. Estimation failures on `estimate` are payload content, not process
-errors."""
+Exit codes: 0 success, 1 domain/validation error, out of memory or a dead
+campaign worker, 2 I/O error. Estimation failures on `estimate` are payload
+content, not process errors."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import json
 import os
 import re
 import sys
+from concurrent.futures import BrokenExecutor
 
 import numpy as np
 
@@ -59,6 +60,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--gamma", type=float, default=None,
                    help="scale; defaults to the unit-mean convention")
     p.add_argument("--out", required=True)
+    p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("estimate",
                        help="estimate roughness/scale from a sample CSV")
@@ -66,27 +68,31 @@ def _build_parser() -> _Parser:
     p.add_argument("--looks", type=float, required=True)
     p.add_argument("--model", required=True, type=str.lower, choices=models)
     p.add_argument("--estimator", required=True, type=str.lower, choices=estimators)
+    p.set_defaults(handler=_cmd_estimate)
 
     p = sub.add_parser("mc",
                        help="run a Monte Carlo campaign from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--format", required=True, choices=["csv", "json"])
+    p.add_argument("--format", required=True, choices=harness.REPORT_FORMATS)
     p.add_argument("--threads", type=int, default=cpus)
+    p.set_defaults(handler=_cmd_mc)
 
     p = sub.add_parser("map",
                        help="sliding-window roughness map over a raster")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", required=True, choices=["pgm", "rawf32", "csv"])
+    p.add_argument("--format", required=True, choices=raster.RASTER_READERS)
     p.add_argument("--window", type=int, required=True)
     p.add_argument("--looks", type=float, required=True)
     p.add_argument("--model", required=True, type=str.lower, choices=models)
     p.add_argument("--estimator", required=True, type=str.lower, choices=estimators)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=cpus)
+    p.set_defaults(handler=_cmd_map)
 
-    sub.add_parser("specfun-check",
-                   help="run the special-function oracle suites")
+    p = sub.add_parser("specfun-check",
+                       help="run the special-function oracle suites")
+    p.set_defaults(handler=_cmd_specfun_check)
     return parser
 
 
@@ -126,7 +132,7 @@ def _cmd_mc(args) -> int:
         with open(args.config, encoding="utf-8") as fh:
             cfg = harness.MCConfig.from_json(fh.read())
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise RuntimeError(f"{args.config}: invalid JSON ({exc})") from None
+        raise OSError(f"{args.config}: invalid JSON ({exc})") from None
     report = harness.run_campaign(cfg, parallelism=args.threads)
     harness.write_report(report, args.out, args.format)
     return 0
@@ -173,18 +179,12 @@ def _check_out(path) -> None:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    handlers = {
-        "sample": _cmd_sample,
-        "estimate": _cmd_estimate,
-        "mc": _cmd_mc,
-        "map": _cmd_map,
-        "specfun-check": _cmd_specfun_check,
-    }
     try:
         if getattr(args, "out", None) is not None:
             _check_out(args.out)
-        return handlers[args.command](args)
-    except (ValueError, model.MomentUndefinedError) as exc:
+        return args.handler(args)
+    # BrokenExecutor: a campaign worker died, say for lack of memory.
+    except (ValueError, BrokenExecutor, model.MomentUndefinedError) as exc:
         print(f"g0lcum: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
@@ -192,7 +192,7 @@ def main(argv=None) -> int:
         print(f"g0lcum: error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 1
-    except (OSError, RuntimeError, raster.RasterFormatError) as exc:
+    except (OSError, raster.RasterFormatError) as exc:
         print(f"g0lcum: i/o error: {exc}", file=sys.stderr)
         return 2
 

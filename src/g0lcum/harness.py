@@ -227,6 +227,8 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     return MCReport(cells=cells)
 
 
+# The formats write_report writes and read_report reads.
+REPORT_FORMATS = ("csv", "json")
 # A CSV report names looks L and spreads failures over one column per reason.
 _CSV_COLUMNS = tuple(col for f in fields(CellStats) for col in (
     [f"fail_{r.value}" for r in FailureReason] if f.name == "failures"
@@ -249,17 +251,17 @@ def write_report(report: MCReport, path, fmt: str) -> None:
     """One record per cell, its fields in declaration order. JSON writes the
     records; CSV flattens each into a row, and its writer puts floats by
     repr and None as an empty field."""
+    if fmt not in REPORT_FORMATS:
+        raise ValueError(f"unknown report format {fmt!r}")
     records = [{f.name: getattr(c, f.name) for f in fields(c)} for c in report.cells]
     if fmt == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(_CSV_COLUMNS)
             writer.writerows(map(_csv_row, records))
-    elif fmt == "json":
+    else:
         with open(path, "w") as fh:
             fh.write(json.dumps({"cells": records}, default=lambda member: member.value))
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
 
 
 def _cell_from_record(rec: dict) -> CellStats:
@@ -283,7 +285,7 @@ def _cell_from_record(rec: dict) -> CellStats:
 def read_report(path, fmt: str) -> MCReport:
     """A report as write_report wrote it; malformed content raises
     ValueError naming the path."""
-    if fmt not in ("csv", "json"):
+    if fmt not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {fmt!r}")
     with open(path, newline="", encoding="utf-8") as fh:
         try:

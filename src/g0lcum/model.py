@@ -169,7 +169,7 @@ def moment(params: G0Params, r: float, model: ModelKind) -> float:
         raise ValueError(f"moment order must be positive, got {r!r}")
     a, g, looks = params.alpha, params.gamma, params.looks
     # Amplitude moments are intensity moments of half the order.
-    h = r if model is ModelKind.INTENSITY else 0.5 * r
+    h = r / model.k1_scale
     if not a < -h:
         raise MomentUndefinedError(f"moment of order {r} needs alpha < {-h}, got {a}")
     logm = (h * math.log(g / looks) + specfun.ln_gamma(-a - h) + specfun.ln_gamma(looks + h)
@@ -181,10 +181,7 @@ def theoretical_log_cumulants(params: G0Params, model: ModelKind) -> LogCumulant
     a, g, looks = params.alpha, params.gamma, params.looks
     k1 = float(math.log(g / looks) + psi(looks) - psi(-a))
     k2 = specfun.trigamma(looks) + specfun.trigamma(-a)
-    if model is ModelKind.AMPLITUDE:
-        k1 *= 0.5
-        k2 *= 0.25
-    return LogCumulants(k1=k1, k2=k2)
+    return LogCumulants(k1=k1 / model.k1_scale, k2=k2 / model.c_alpha)
 
 
 def unit_mean_gamma(alpha: float) -> float:
@@ -216,11 +213,11 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds,
     d1, d2, scale = 2.0 * params.looks, -2.0 * params.alpha, -params.gamma / params.alpha
 
     def draw(u: np.ndarray) -> np.ndarray:
-        u[u == 0.0] = np.nan  # boundary of the open interval; redrawn below
         za = np.sqrt(scale * specfun.f_quantile(u, d1, d2))
         return za * za if model is ModelKind.INTENSITY else za
 
     def bad(z: np.ndarray) -> np.ndarray:
+        # z = 0, from a zero uniform, is redrawn too.
         return ~np.isfinite(z) | (z <= 0.0)
 
     z = draw(u)
@@ -236,8 +233,8 @@ def sample_g0(params: G0Params, model: ModelKind, n: int, seed: int) -> Sample:
 
     The generator is counter-based so trials can be split reproducibly;
     identical (params, model, n, seed) always yields the identical sample.
-    Uniform draws are taken from the open interval: endpoints and any
-    non-finite or nonpositive transform output are redrawn."""
+    A zero uniform maps to z = 0; that and any other non-finite or
+    nonpositive draw is redrawn, so the uniforms in effect lie in (0, 1)."""
     return Sample(values=sample_g0_stack(params, model, n, [check_seed(seed)])[0],
                   model=model)
 

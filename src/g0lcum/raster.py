@@ -176,15 +176,14 @@ def _read_csv_grid(path) -> tuple:
     return width, len(rows), np.array(rows, dtype=float).ravel()
 
 
+# The formats read_raster takes, each with its reader.
+RASTER_READERS = {"pgm": _read_pgm, "rawf32": _read_rawf32, "csv": _read_csv_grid}
+
+
 def read_raster(path, fmt: str, model: ModelKind, looks: float) -> Raster:
-    if fmt == "pgm":
-        width, height, values = _read_pgm(path)
-    elif fmt == "rawf32":
-        width, height, values = _read_rawf32(path)
-    elif fmt == "csv":
-        width, height, values = _read_csv_grid(path)
-    else:
+    if fmt not in RASTER_READERS:
         raise ValueError(f"unknown raster format {fmt!r}")
+    width, height, values = RASTER_READERS[fmt](path)
     if not np.all(np.isfinite(values)) or np.any(values < 0.0):
         raise RasterFormatError(f"{path}: pixels must be finite and nonnegative")
     return Raster(width=width, height=height, pixels=values, model=model, looks=looks)

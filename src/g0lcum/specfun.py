@@ -258,12 +258,12 @@ def trigamma_approx_inverse(eta):
 
 def f_quantile(u, d1: float, d2: float):
     """Quantile of Snedecor's F law with (d1, d2) degrees of freedom via the
-    inverse regularized incomplete beta. Accepts scalars or arrays; u = 1 is
-    rejected since it maps to +infinity."""
+    inverse regularized incomplete beta. Accepts scalars or arrays; u outside
+    [0, 1), NaN included, is rejected, and u = 0 maps to exactly 0."""
     d1 = _check_positive(d1, "d1")
     d2 = _check_positive(d2, "d2")
     uu = np.asarray(u, dtype=float)
-    if np.any(uu < 0.0) or np.any(uu >= 1.0):
+    if not np.all((uu >= 0.0) & (uu < 1.0)):
         raise ValueError("u must lie in [0, 1); u = 1 maps to +infinity")
     y = import_special().betaincinv(0.5 * d1, 0.5 * d2, uu)
     with np.errstate(divide="ignore"):

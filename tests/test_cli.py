@@ -26,6 +26,16 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+_RUN_SAMPLE_CELL = harness._run_sample_cell
+
+
+def _exit_in_second_cell(cfg, index):
+    """A campaign cell runner whose worker dies on cell 1."""
+    if index == 1:
+        os._exit(3)
+    return _RUN_SAMPLE_CELL(cfg, index)
+
+
 def write_sample(tmp_path, name="s.csv", alpha=-3.0, looks=2.0, n=400, seed=7):
     path = tmp_path / name
     code = run_cli("sample", "--alpha", str(alpha), "--looks", str(looks),
@@ -168,6 +178,24 @@ class TestMc:
         assert not out.exists()
 
 
+    def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
+        """A pool worker that dies is an error of the run, not of its I/O.
+        The workers fork, so they run the patched cell runner."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"trials": 2, "alphas": [-3.0, -5.0], "looks": [1.0],
+                                   "sizes": [9], "models": ["intensity"],
+                                   "estimators": ["poly"]}))
+        out = tmp_path / "report.json"
+        monkeypatch.setattr(harness, "_run_sample_cell", _exit_in_second_cell)
+        capsys.readouterr()
+        assert run_cli("mc", "--config", str(cfg), "--out", str(out),
+                       "--format", "json", "--threads", "2") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("g0lcum: error: A process in the process pool was terminated")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+
 class TestMap:
     def test_csv_map_with_meta(self, tmp_path, capsys):
         rng = np.random.default_rng(3)
@@ -235,11 +263,12 @@ class TestExitCodes:
                        "--looks", "1", "--model", "intensity",
                        "--estimator", "traditional") == 2
 
-    def test_malformed_config_json_is_io_error(self, tmp_path):
+    def test_malformed_config_json_is_io_error(self, tmp_path, capsys):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
         assert run_cli("mc", "--config", str(cfg), "--out", str(tmp_path / "r.csv"),
                        "--format", "csv") == 2
+        assert capsys.readouterr().err.startswith(f"g0lcum: i/o error: {cfg}: invalid JSON (")
 
     def test_unknown_config_field_is_domain_error(self, tmp_path):
         cfg = tmp_path / "extra.json"
@@ -494,6 +523,23 @@ class TestNamesAndDefaults:
                 assert cli._build_parser().parse_args(argv).threads == 1
         finally:
             cli._build_parser.cache_clear()
+
+
+    def test_format_choices_are_the_module_tables(self, capsys):
+        """--format takes exactly the formats read_raster and the report
+        functions take; any other exits 1 naming them."""
+        parser = cli._build_parser()
+        mc = ["mc", "--config", "c", "--out", "o", "--format"]
+        map_ = ["map", "--in", "i", "--window", "3", "--looks", "1", "--model", "intensity",
+                "--estimator", "poly", "--out", "o", "--format"]
+        for argv, table in ((mc, harness.REPORT_FORMATS), (map_, raster.RASTER_READERS)):
+            for fmt in table:
+                assert parser.parse_args(argv + [fmt]).format == fmt
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["tiff"])
+            assert exc.value.code == 1
+            assert f"(choose from {', '.join(map(repr, table))})" in capsys.readouterr().err
 
 
 class TestParserReuse:

@@ -334,9 +334,10 @@ class TestReportIO:
                           "fail_DegenerateK2", "mse", "mean_time_ns"]
 
     def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown report format 'parquet'"):
             write_report(_toy_report(), tmp_path / "x.bin", "parquet")
-        with pytest.raises(ValueError):
+        assert not (tmp_path / "x.bin").exists()
+        with pytest.raises(ValueError, match="unknown report format 'parquet'"):
             read_report(tmp_path / "missing.bin", "parquet")
 
     def test_foreign_header_rejected(self, tmp_path):

@@ -285,17 +285,22 @@ class TestSampleStack:
     @staticmethod
     def force(monkeypatch, rows, bad):
         """Patch the F quantile so its first call returns the values ``bad``
-        at the columns ``rows`` maps each row to; returns the list of the
-        shapes of u it is called with."""
+        at the columns ``rows`` maps each row to, or with bad=None zeroes the
+        uniforms there before the real quantile runs; returns the list of
+        the shapes of u it is called with."""
         real = specfun.f_quantile
         calls = []
 
         def patched(u, d1, d2):
+            first = not calls
+            calls.append(np.shape(u))
+            if first and bad is None:
+                for row, cols in rows.items():
+                    u[row, list(cols)] = 0.0
             x = real(u, d1, d2)
-            if not calls:
+            if first and bad is not None:
                 for row, cols in rows.items():
                     x[row, list(cols)] = bad
-            calls.append(np.shape(u))
             return x
 
         monkeypatch.setattr(specfun, "f_quantile", patched)
@@ -309,6 +314,10 @@ class TestSampleStack:
 
     def test_forced_nan_redraws_stay_on_their_own_rows(self, monkeypatch):
         self.check_forced_redraws(monkeypatch, np.nan)
+
+    def test_forced_zero_uniform_redraws_stay_on_their_own_rows(self, monkeypatch):
+        """A zero uniform maps to z = 0 and is redrawn like any bad output."""
+        self.check_forced_redraws(monkeypatch, None)
 
     def check_forced_redraws(self, monkeypatch, bad):
         p = G0Params(-3.0, unit_mean_gamma(-3.0), 2.0)

@@ -197,7 +197,7 @@ class TestReadRaster:
             read_raster(path, "rawf32", I, 1.0)
 
     def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
+        with pytest.raises(ValueError, match="unknown raster format 'tiff'"):
             read_raster(tmp_path / "x", "tiff", I, 1.0)
 
     def test_raster_validation(self):

@@ -7,6 +7,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -415,10 +416,14 @@ class TestFQuantile:
             assert v == pytest.approx(f_quantile(float(u), 2.0, 6.0), rel=1e-14)
 
     def test_rejects_unit_and_above(self):
-        with pytest.raises(ValueError):
-            f_quantile(1.0, 2.0, 4.0)
-        with pytest.raises(ValueError):
-            f_quantile(1.5, 2.0, 4.0)
+        """u = 1, above 1, or NaN (scalar or in an array) is outside [0, 1)."""
+        for u in (1.0, 1.5, np.nan, np.array([0.5, np.nan]), np.array([0.2, 1.0])):
+            with pytest.raises(ValueError, match=re.escape("u must lie in [0, 1)")):
+                f_quantile(u, 2.0, 4.0)
 
     def test_zero_maps_to_zero(self):
-        assert f_quantile(0.0, 2.0, 4.0) == 0.0
+        """Exactly 0, so the sampler redraws a zero uniform as it does z = 0."""
+        for d1 in (2.0, 6.0, 16.0):
+            for d2 in (2.02, 6.0, 80.0, 3000.0):
+                assert f_quantile(0.0, d1, d2) == 0.0
+                assert np.array_equal(f_quantile(np.zeros(3), d1, d2), np.zeros(3))
