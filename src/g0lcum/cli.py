@@ -143,8 +143,7 @@ def _cmd_map(args) -> int:
     rast = raster.read_raster(args.infile, args.format, kind, args.looks)
     est = EstimatorKind.parse(args.estimator)
     rmap = raster.roughness_map(rast, args.window, est, parallelism=args.threads)
-    out_fmt = "pgm" if str(args.out).endswith(".pgm") else "csv"
-    raster.write_map(rmap, args.out, out_fmt)
+    out_fmt = raster.write_map(rmap, args.out)
     print(f"wrote {out_fmt} map {rmap.width}x{rmap.height}, "
           f"{rmap.n_failures} failures, {rmap.elapsed_ns} ns", file=sys.stderr)
     return 0

@@ -270,4 +270,6 @@ def read_sample_csv(path, model: ModelKind) -> Sample:
                                      "is not positive")
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+    if not values:
+        raise ValueError(f"{path}: no sample values")
     return Sample(values=np.array(values, dtype=float), model=model)

@@ -244,7 +244,7 @@ def _map_moments(logs: np.ndarray, window: int, parallelism: int) -> tuple:
     return n, k1, k2, m4
 
 
-def _estimate_windows(n, k1, k2, m4, model, looks, kind, alpha_floor) -> tuple:
+def _estimate_windows(n, k1, k2, m4, model, looks, kind) -> tuple:
     """Estimates and outcome codes of windows from their moments, arrays of
     one shape: estimate_from_moments over the windows with n >= 4, in
     slices of at most _ESTIMATE_WINDOWS, and code _SPARSE for the rest."""
@@ -255,7 +255,7 @@ def _estimate_windows(n, k1, k2, m4, model, looks, kind, alpha_floor) -> tuple:
     for s in range(0, est.size, _ESTIMATE_WINDOWS):
         idx = est[s:s + _ESTIMATE_WINDOWS]
         alpha[idx], gamma[idx], code[idx] = estimate_from_moments(
-            *(m[idx] for m in moments), looks, model, kind, alpha_floor)
+            *(m[idx] for m in moments), looks, model, kind, ALPHA_FLOOR)
     return alpha.reshape(n.shape), gamma.reshape(n.shape), code.reshape(n.shape)
 
 
@@ -287,7 +287,7 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
     moments = _map_moments(logs, window, parallelism)
     t1 = time.perf_counter_ns()
-    a, g, code = _estimate_windows(*moments, r.model, r.looks, kind, ALPHA_FLOOR)
+    a, g, code = _estimate_windows(*moments, r.model, r.looks, kind)
     t2 = time.perf_counter_ns()
     alpha, gamma = np.full((2, r.height, r.width), np.nan)
     half = window // 2
@@ -303,32 +303,30 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
                         moments_ns=t1 - t0, estimate_ns=t2 - t1)
 
 
-def write_map(m: RoughnessMap, path, fmt: str) -> None:
-    """CSV export writes zeros where estimation failed or no full window
-    fit, plus a .meta.json sibling; PGM rescales [alpha_floor, 0] onto the
-    8-bit range for visualization."""
-    if fmt == "csv":
-        filled = np.where(np.isnan(m.alpha), 0.0, m.alpha)
-        with open(path, "w") as fh:
-            for row in filled.tolist():
-                fh.write(",".join(map(repr, row)))
-                fh.write("\n")
-        meta = {"n_failures": m.n_failures, "failures": m.failures,
-                "sparse_windows": m.sparse_windows, "elapsed_ns": m.elapsed_ns,
-                "window": m.window, "estimator": m.estimator.value,
-                "version": __version__, "model": m.model.value, "looks": m.looks,
-                "alpha_floor": m.alpha_floor, "moments_ns": m.moments_ns,
-                "estimate_ns": m.estimate_ns}
-        with open(str(path) + ".meta.json", "w") as fh:
-            fh.write(json.dumps(meta))
-    elif fmt == "pgm":
-        scaled = (1.0 - m.alpha / m.alpha_floor) * 255.0
-        scaled = np.where(np.isnan(m.alpha), 0.0, np.clip(scaled, 0.0, 255.0))
-        ints = np.rint(scaled).astype(int)
-        lines = [f"P2\n{m.width} {m.height}\n255"]
-        for row in ints.tolist():
-            lines.append(" ".join(map(str, row)))
-        with open(path, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        raise ValueError(f"unknown map format {fmt!r}")
+def write_map(m: RoughnessMap, path) -> str:
+    """Write the map, then a .meta.json sibling, and return the format
+    written: PGM for a path ending in .pgm in any letter case, else CSV.
+    CSV export writes zeros where estimation failed or no full window fit;
+    PGM rescales [alpha_floor, 0] onto the 8-bit range for visualization."""
+    with open(path, "w") as fh:
+        if str(path).lower().endswith(".pgm"):
+            fmt, sep, cell = "pgm", " ", str
+            scaled = (1.0 - m.alpha / m.alpha_floor) * 255.0
+            scaled = np.where(np.isnan(m.alpha), 0.0, np.clip(scaled, 0.0, 255.0))
+            rows = np.rint(scaled).astype(int).tolist()
+            fh.write(f"P2\n{m.width} {m.height}\n255\n")
+        else:
+            fmt, sep, cell = "csv", ",", repr
+            rows = np.where(np.isnan(m.alpha), 0.0, m.alpha).tolist()
+        for row in rows:
+            fh.write(sep.join(map(cell, row)))
+            fh.write("\n")
+    meta = {"n_failures": m.n_failures, "failures": m.failures,
+            "sparse_windows": m.sparse_windows, "elapsed_ns": m.elapsed_ns,
+            "window": m.window, "estimator": m.estimator.value,
+            "version": __version__, "model": m.model.value, "looks": m.looks,
+            "alpha_floor": m.alpha_floor, "moments_ns": m.moments_ns,
+            "estimate_ns": m.estimate_ns}
+    with open(str(path) + ".meta.json", "w") as fh:
+        fh.write(json.dumps(meta))
+    return fmt

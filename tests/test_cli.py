@@ -237,17 +237,32 @@ class TestMap:
         assert all(type(t) is int and t >= 0 for t in stages)
         assert sum(stages) <= meta["elapsed_ns"]
 
-    def test_pgm_output_by_extension(self, tmp_path):
+    @pytest.mark.parametrize("name, fmt", [("map.pgm", "pgm"), ("map.PGM", "pgm"),
+                                           ("map.Pgm", "pgm"), ("map.txt", "csv")])
+    def test_pgm_output_by_extension(self, tmp_path, capsys, name, fmt):
+        """A .pgm suffix in any letter case writes PGM, any other CSV; either
+        gets the sidecar a CSV map gets."""
         rng = np.random.default_rng(4)
         grid = tmp_path / "grid.csv"
         grid.write_text("\n".join(",".join(f"{v:.17g}" for v in row)
                                   for row in rng.gamma(2.0, 1.0, (6, 6))) + "\n")
-        out = tmp_path / "map.pgm"
-        assert run_cli("map", "--in", str(grid), "--format", "csv",
-                       "--window", "3", "--looks", "1", "--model", "intensity",
-                       "--estimator", "traditional", "--out", str(out),
-                       "--threads", "1") == 0
-        assert out.read_text().startswith("P2\n6 6\n255\n")
+        ref, out = tmp_path / "map.csv", tmp_path / name
+        for path in (ref, out):
+            assert run_cli("map", "--in", str(grid), "--format", "csv",
+                           "--window", "3", "--looks", "1", "--model", "intensity",
+                           "--estimator", "traditional", "--out", str(path),
+                           "--threads", "1") == 0
+        assert capsys.readouterr().err.splitlines()[1].startswith(f"wrote {fmt} map 6x6, ")
+        if fmt == "pgm":
+            assert out.read_text().startswith("P2\n6 6\n255\n")
+        else:
+            assert out.read_bytes() == ref.read_bytes()
+        ref_meta, meta = (json.loads((tmp_path / f"{p.name}.meta.json").read_text())
+                          for p in (ref, out))
+        assert list(meta) == list(ref_meta)
+        for key in ("elapsed_ns", "moments_ns", "estimate_ns"):
+            del meta[key], ref_meta[key]
+        assert meta == ref_meta
 
 
 class TestSpecfunCheck:
@@ -395,10 +410,15 @@ class TestExitCodes:
         assert capsys.readouterr().err == f"g0lcum: error: out of memory: {detail}\n"
         assert not (tmp_path / "s.csv").exists()
 
-    def test_invalid_domain_value_is_domain_error(self, tmp_path):
-        assert run_cli("sample", "--alpha", "1.0", "--looks", "2",
-                       "--model", "intensity", "--n", "5", "--seed", "1",
+    @pytest.mark.parametrize("alpha, n, message", [
+        ("1.0", "5", "unit-mean scale needs alpha < -1, got 1.0"),
+        ("-3", "0", "sample size must be positive, got 0")])
+    def test_invalid_domain_value_is_domain_error(self, tmp_path, capsys, alpha, n, message):
+        assert run_cli("sample", "--alpha", alpha, "--looks", "2",
+                       "--model", "intensity", "--n", n, "--seed", "1",
                        "--out", str(tmp_path / "s.csv")) == 1
+        assert capsys.readouterr().err == f"g0lcum: error: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
 
     def test_negative_seed_is_domain_error_naming_the_seed(self, tmp_path, capsys):
         """The sampler and a campaign config reject a negative seed in one message."""

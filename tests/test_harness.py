@@ -71,6 +71,15 @@ class TestMCConfig:
         with pytest.raises(ValueError, match="alpha_floor"):
             MCConfig(alpha_floor=1.0)
 
+    @pytest.mark.parametrize("field, values, message", [
+        ("sizes", (9, 25.5), "sizes must be integers"),
+        ("models", (I, "amplitude"), "models must be ModelKind members"),
+        ("estimators", ("poly",), "estimators must be EstimatorKind members"),
+    ])
+    def test_rejects_sweep_values_of_the_wrong_type(self, field, values, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            MCConfig(**{field: values})
+
     @pytest.mark.parametrize("field, values", [
         ("alphas", (-3.0, -1.5, -3)),
         ("looks", (1.0, 1)),

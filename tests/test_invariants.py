@@ -119,7 +119,7 @@ def map_of(grid: np.ndarray, model: ModelKind, kind: EstimatorKind):
     windows = sliding_window_view(logs, (5, 5))
     moments = raster._window_moments(windows.reshape(-1, 25))
     _, _, code = raster._estimate_windows(*(x.reshape(windows.shape[:2]) for x in moments),
-                                          model, LOOKS, kind, m.alpha_floor)
+                                          model, LOOKS, kind)
     assert m.failures == count_failures(code)
     assert m.sparse_windows == np.count_nonzero(code == raster._SPARSE) > 0
     return m.alpha, m.gamma, code

@@ -80,9 +80,12 @@ class TestValidation:
         assert s.values.dtype == np.float64
         assert s.values.tolist() == values
 
-    def test_sample_log_cumulants_reject_negative_k2(self):
-        with pytest.raises(ValueError):
-            LogCumulants(k1=0.0, k2=-0.1, n=10)
+    @pytest.mark.parametrize("k2, n, message", [
+        (-0.1, 10, "sample-derived k2 is a variance of logs and cannot be negative"),
+        (0.5, 0, "sample size must be positive, got 0")])
+    def test_sample_log_cumulants_reject_negative_k2_and_empty(self, k2, n, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LogCumulants(k1=0.0, k2=k2, n=n)
 
     def test_model_parse(self):
         assert ModelKind.parse("intensity") is I
@@ -154,6 +157,12 @@ class TestMoment:
     def test_amplitude_square_equals_intensity(self):
         p = G0Params(alpha=-2.0, gamma=1.0, looks=1.0)
         assert moment(p, 2.0, A) == pytest.approx(moment(p, 1.0, I), rel=1e-14)
+
+    @pytest.mark.parametrize("order", [0.0, -1.0])
+    def test_rejects_nonpositive_order(self, order):
+        p = G0Params(alpha=-3.0, gamma=2.0, looks=1.0)
+        with pytest.raises(ValueError, match=f"^moment order must be positive, got {order}$"):
+            moment(p, order, I)
 
     def test_undefined_at_constraint_boundary(self):
         p = G0Params(alpha=-2.0, gamma=1.0, looks=1.0)
@@ -368,9 +377,25 @@ class TestSampleCsv:
             read_sample_csv(path, I)
 
     def test_spaces_and_tabs_around_a_value(self, tmp_path):
+        # Empty and whitespace-only rows are skipped.
         path = tmp_path / "s.csv"
-        path.write_text("z\n 1.5\n2e0\t\n\t.25 \n")
+        path.write_text("z\n 1.5\n\n2e0\t\n \t\n\t.25 \n")
         assert read_sample_csv(path, I).values.tolist() == [1.5, 2.0, 0.25]
+
+    def test_rejects_two_values_in_a_row(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("z\n1.5\n1,2\n")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: expected one value per row, got ['1', '2']")):
+            read_sample_csv(path, I)
+
+    @pytest.mark.parametrize("text", ["z\n", "z", "z\n\n \n\t\n"],
+                             ids=["header-only", "header-without-newline", "blank-rows"])
+    def test_rejects_no_values_naming_the_file(self, tmp_path, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: no sample values$"):
+            read_sample_csv(path, I)
 
 
 # Number text that every reader rejects. JSON readers take each as a JSON

@@ -167,6 +167,9 @@ class TestReadRaster:
         pytest.param(b"P2 3 1 255", "0 pixels for 3x1 grid", id="nothing-after-maxval"),
         pytest.param(b"P7 3 1 255\n1 2 3\n", "expected P2 or P5 magic, got 'P7'",
                      id="bad-magic"),
+        pytest.param(b"P2 0 1 255\n", "invalid PGM dimensions or maxval", id="zero-width"),
+        pytest.param(b"P5 1 1 65536\n\0\1", "invalid PGM dimensions or maxval",
+                     id="maxval-above-16-bit"),
     ])
     def test_pgm_header_numbers_are_decimal_digits(self, tmp_path, data, expected):
         path = tmp_path / "img.pgm"
@@ -200,9 +203,16 @@ class TestReadRaster:
         with pytest.raises(ValueError, match="unknown raster format 'tiff'"):
             read_raster(tmp_path / "x", "tiff", I, 1.0)
 
+    @pytest.mark.parametrize("width, pixels, message", [
+        (2, [1.0], "expected 2 row-major pixels, got 1"),
+        (0, [], "raster dimensions must be positive"),
+        (2, [1.0, np.nan], "pixels must be finite and nonnegative"),
+        (2, [1.0, -2.0], "pixels must be finite and nonnegative")])
+    def test_raster_rejects_empty_grid_and_bad_pixels(self, width, pixels, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Raster(width=width, height=1, pixels=np.array(pixels), model=I, looks=1.0)
+
     def test_raster_validation(self):
-        with pytest.raises(ValueError, match="pixels"):
-            Raster(width=2, height=2, pixels=np.ones(3), model=I, looks=1.0)
         for looks in (0.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="looks"):
                 Raster(width=1, height=1, pixels=np.ones(1), model=I, looks=looks)
@@ -303,14 +313,14 @@ def kernel_band(grid, model, kind, window, looks):
     windows = sliding_window_view(log_grid(grid), (window, window))
     moments = raster._window_moments(windows.reshape(-1, window * window))
     return raster._estimate_windows(*(m.reshape(windows.shape[:2]) for m in moments),
-                                    model, looks, kind, -15.0)
+                                    model, looks, kind)
 
 
 def chunked_band(grid, model, kind, window, looks):
     """Per-window alpha, gamma and outcome code from the map's own moments
     phase, which skips the mask on chunks whose footprint has no zero."""
     moments = raster._map_moments(log_grid(grid), window, parallelism=1)
-    return raster._estimate_windows(*moments, model, looks, kind, -15.0)
+    return raster._estimate_windows(*moments, model, looks, kind)
 
 
 def scattered_zero_scene(height=30, width=40, seed=21) -> np.ndarray:
@@ -546,7 +556,7 @@ class TestWriteMap:
         m = manual_map([[np.nan, -2.5], [np.nan, np.nan]],
                        failures={"NegativeEta": 1}, sparse=2)
         path = tmp_path / "map.csv"
-        write_map(m, path, "csv")
+        write_map(m, path)
         rows = [line.split(",") for line in path.read_text().splitlines()]
         assert [[float(v) for v in row] for row in rows] == [[0.0, -2.5], [0.0, 0.0]]
         meta = json.loads((tmp_path / "map.csv.meta.json").read_text())
@@ -565,8 +575,8 @@ class TestWriteMap:
         m = manual_map([[np.nan, -1e-05, -14.999999999, -15.0],
                         [-1e-12, -7.5, -2.5, -3.3333333333333335],
                         [-16.0, -0.1, np.nan, -1.2345678901234567]])
-        write_map(m, tmp_path / "m.csv", "csv")
-        write_map(m, tmp_path / "m.pgm", "pgm")
+        assert write_map(m, tmp_path / "m.csv") == "csv"
+        assert write_map(m, tmp_path / "m.pgm") == "pgm"
         assert (tmp_path / "m.csv").read_bytes() == (
             b"0.0,-1e-05,-14.999999999,-15.0\n"
             b"-1e-12,-7.5,-2.5,-3.3333333333333335\n"
@@ -581,7 +591,7 @@ class TestWriteMap:
         m = roughness_map(r, window=3, kind=TRAD)
         assert m.n_failures == 9
         path = tmp_path / "failed.csv"
-        write_map(m, path, "csv")
+        write_map(m, path)
         values = [float(v) for line in path.read_text().splitlines()
                   for v in line.split(",")]
         assert values == [0.0] * 25
@@ -590,7 +600,7 @@ class TestWriteMap:
         alpha = [[-1.5, -2.25], [-14.999999999, -0.001]]
         m = manual_map(alpha)
         path = tmp_path / "exact.csv"
-        write_map(m, path, "csv")
+        write_map(m, path)
         back = [[float(v) for v in line.split(",")]
                 for line in path.read_text().splitlines()]
         assert np.allclose(back, alpha, rtol=0.0, atol=1e-9)
@@ -598,14 +608,10 @@ class TestWriteMap:
     def test_pgm_rescale_endpoints(self, tmp_path):
         m = manual_map([[-15.0, -1e-12], [np.nan, -7.5]])
         path = tmp_path / "map.pgm"
-        write_map(m, path, "pgm")
+        write_map(m, path)
         lines = path.read_text().splitlines()
         assert lines[0] == "P2"
         assert lines[1] == "2 2"
         assert lines[2] == "255"
         assert lines[3].split() == ["0", "255"]
         assert lines[4].split() == ["0", "128"]
-
-    def test_unknown_format(self, tmp_path):
-        with pytest.raises(ValueError, match="format"):
-            write_map(manual_map([[-1.0]]), tmp_path / "m.x", "png")

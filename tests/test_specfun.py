@@ -135,6 +135,11 @@ class TestTrigammaInverse:
             with pytest.raises((ValueError, NoBracketError)):
                 trigamma_inverse_bracketed(bad)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_eta(self, bad):
+        with pytest.raises(ValueError, match=f"^eta must be finite, got {bad!r}$"):
+            trigamma_inverse_bracketed(bad)
+
     def test_rejects_eta_just_outside_the_bracket(self):
         for bad in (np.nextafter(specfun._BRACKET_ETA_MIN, 0.0),
                     np.nextafter(specfun._BRACKET_ETA_MAX, np.inf)):
