@@ -139,6 +139,7 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_map(args) -> int:
+    _check_out(raster.meta_path(args.out))
     kind = model.ModelKind.parse(args.model)
     rast = raster.read_raster(args.infile, args.format, kind, args.looks)
     est = EstimatorKind.parse(args.estimator)
@@ -183,7 +184,7 @@ def main(argv=None) -> int:
             _check_out(args.out)
         return args.handler(args)
     # BrokenExecutor: a campaign worker died, say for lack of memory.
-    except (ValueError, BrokenExecutor, model.MomentUndefinedError) as exc:
+    except (ValueError, BrokenExecutor) as exc:
         print(f"g0lcum: error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
@@ -191,7 +192,7 @@ def main(argv=None) -> int:
         print(f"g0lcum: error: out of memory: {str(exc) or 'allocation failed'}",
               file=sys.stderr)
         return 1
-    except (OSError, raster.RasterFormatError) as exc:
+    except OSError as exc:
         print(f"g0lcum: i/o error: {exc}", file=sys.stderr)
         return 2
 

@@ -96,7 +96,7 @@ def parse_count(value) -> int:
     raise ValueError(f"count {value!r} is not a nonnegative whole number")
 
 
-class MomentUndefinedError(Exception):
+class MomentUndefinedError(ValueError):
     """The requested moment order violates the roughness constraint."""
 
 
@@ -111,7 +111,7 @@ class G0Params:
             raise ValueError(f"alpha must be negative, got {self.alpha!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-        check_looks(self.looks)
+        object.__setattr__(self, "looks", check_looks(self.looks))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .estimators import (
     estimate_from_moments,
     log_moments,
 )
-from .model import ModelKind, check_looks, parse_real
+from .model import ModelKind, check_looks, is_int, parse_real
 
 # Windows per chunk of the map's moments phase. Each chunk holds copies of
 # its windows; a row wider than this is cut into column spans, so the chunk
@@ -39,7 +39,7 @@ _PGM_GAP = rb"(?:\s|#[^\n]*(?:\n|\Z))*"
 _PGM_HEADER = re.compile(_PGM_GAP + rb"([^\s#]\S*)(?!\S)" + (_PGM_GAP + rb"(\d+)(?!\S)") * 3)
 
 
-class RasterFormatError(Exception):
+class RasterFormatError(OSError):
     """Malformed raster file: header, dimensions, or pixel values."""
 
 
@@ -60,7 +60,7 @@ class Raster:
                              f"got {arr.size}")
         if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
             raise ValueError("pixels must be finite and nonnegative")
-        check_looks(self.looks)
+        object.__setattr__(self, "looks", check_looks(self.looks))
         object.__setattr__(self, "pixels", arr)
 
     def grid(self) -> np.ndarray:
@@ -275,7 +275,7 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     gets estimate_alpha's bits, any other the same status and estimates
     within 1e-12 relative. Every step is elementwise over windows, so the
     output is identical for any parallelism degree."""
-    if window < 1 or window % 2 == 0:
+    if not is_int(window) or window < 1 or window % 2 == 0:
         raise ValueError(f"window must be odd and positive, got {window}")
     if window > min(r.width, r.height):
         raise ValueError(f"window {window} exceeds raster dimensions "
@@ -298,16 +298,29 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
                         failures=count_failures(code),
                         sparse_windows=int(np.count_nonzero(code == _SPARSE)),
                         elapsed_ns=elapsed,
-                        window=window, estimator=kind, alpha_floor=ALPHA_FLOOR,
+                        window=int(window), estimator=kind, alpha_floor=ALPHA_FLOOR,
                         model=r.model, looks=r.looks,
                         moments_ns=t1 - t0, estimate_ns=t2 - t1)
 
 
+def meta_path(path) -> str:
+    """The path of the .meta.json sidecar that write_map writes beside a map."""
+    return str(path) + ".meta.json"
+
+
 def write_map(m: RoughnessMap, path) -> str:
-    """Write the map, then a .meta.json sibling, and return the format
+    """Write the map, then its meta_path sidecar, and return the format
     written: PGM for a path ending in .pgm in any letter case, else CSV.
-    CSV export writes zeros where estimation failed or no full window fit;
-    PGM rescales [alpha_floor, 0] onto the 8-bit range for visualization."""
+    The sidecar's JSON is built first, so a value JSON cannot hold fails
+    before either file is opened. CSV export writes zeros where estimation
+    failed or no full window fit; PGM rescales [alpha_floor, 0] onto the
+    8-bit range for visualization."""
+    meta = json.dumps({"n_failures": m.n_failures, "failures": m.failures,
+                       "sparse_windows": m.sparse_windows, "elapsed_ns": m.elapsed_ns,
+                       "window": m.window, "estimator": m.estimator.value,
+                       "version": __version__, "model": m.model.value, "looks": m.looks,
+                       "alpha_floor": m.alpha_floor, "moments_ns": m.moments_ns,
+                       "estimate_ns": m.estimate_ns})
     with open(path, "w") as fh:
         if str(path).lower().endswith(".pgm"):
             fmt, sep, cell = "pgm", " ", str
@@ -321,12 +334,6 @@ def write_map(m: RoughnessMap, path) -> str:
         for row in rows:
             fh.write(sep.join(map(cell, row)))
             fh.write("\n")
-    meta = {"n_failures": m.n_failures, "failures": m.failures,
-            "sparse_windows": m.sparse_windows, "elapsed_ns": m.elapsed_ns,
-            "window": m.window, "estimator": m.estimator.value,
-            "version": __version__, "model": m.model.value, "looks": m.looks,
-            "alpha_floor": m.alpha_floor, "moments_ns": m.moments_ns,
-            "estimate_ns": m.estimate_ns}
-    with open(str(path) + ".meta.json", "w") as fh:
-        fh.write(json.dumps(meta))
+    with open(meta_path(path), "w") as fh:
+        fh.write(meta)
     return fmt

@@ -273,6 +273,11 @@ class TestSpecfunCheck:
 
 
 class TestExitCodes:
+    def test_exception_families(self):
+        """Exit codes follow the builtin families: ValueError 1, OSError 2."""
+        assert issubclass(model.MomentUndefinedError, ValueError)
+        assert issubclass(raster.RasterFormatError, OSError)
+
     def test_missing_input_file_is_io_error(self, tmp_path):
         assert run_cli("estimate", "--in", str(tmp_path / "nope.csv"),
                        "--looks", "1", "--model", "intensity",
@@ -470,8 +475,8 @@ class TestOutCheckedFirst:
         def fail(*args, **kwargs):
             raise AssertionError("work ran before --out was checked")
 
-        for module, name in ((harness, "run_campaign"), (raster, "roughness_map"),
-                             (model, "sample_g0")):
+        for module, name in ((harness, "run_campaign"), (raster, "read_raster"),
+                             (raster, "roughness_map"), (model, "sample_g0")):
             monkeypatch.setattr(module, name, fail)
 
     def commands(self, tmp_path, out):
@@ -511,6 +516,17 @@ class TestOutCheckedFirst:
             assert run_cli(*argv) == 2
             assert capsys.readouterr().err.startswith("g0lcum: i/o error: [Errno 21] ")
         assert list(out.iterdir()) == []
+
+
+    def test_map_sidecar_is_a_directory(self, tmp_path, capsys, no_work):
+        out = tmp_path / "m.pgm"
+        sidecar = tmp_path / "m.pgm.meta.json"
+        sidecar.mkdir()
+        capsys.readouterr()
+        assert run_cli(*self.commands(tmp_path, str(out))[1]) == 2
+        assert capsys.readouterr().err == ("g0lcum: i/o error: [Errno 21] "
+                                           f"Is a directory: '{sidecar}'\n")
+        assert not out.exists() and list(sidecar.iterdir()) == []
 
 
 class TestNamesAndDefaults:

@@ -532,6 +532,9 @@ class TestCheckLooks:
             with pytest.raises(ValueError, match="looks must be >= 1, got True"):
                 check()
 
+    def test_params_keep_the_float(self):
+        assert type(G0Params(-3.0, 2.0, np.int64(2)).looks) is float
+
 
 class TestParseName:
     @pytest.mark.parametrize("kind, text", [(ModelKind, "power"), (EstimatorKind, "fastest")])

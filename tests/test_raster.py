@@ -240,8 +240,9 @@ class TestRoughnessMap:
 
     def test_window_validation(self):
         r = synthetic_raster(-3.0, 2.0, 6, 6, seed=1)
-        with pytest.raises(ValueError, match="odd"):
-            roughness_map(r, window=4, kind=TRAD)
+        for window in (4, True, 3.0):
+            with pytest.raises(ValueError, match="odd"):
+                roughness_map(r, window=window, kind=TRAD)
         with pytest.raises(ValueError, match="exceeds"):
             roughness_map(r, window=7, kind=TRAD)
         with pytest.raises(ValueError, match="parallelism"):
@@ -540,7 +541,7 @@ class TestMapKernel:
 
 
 def manual_map(alpha_rows, window=3, floor=-15.0, failures=None,
-               sparse=0) -> RoughnessMap:
+               sparse=0, looks=2.0) -> RoughnessMap:
     alpha = np.array(alpha_rows, dtype=float)
     counts = {r.value: 0 for r in FailureReason}
     counts.update(failures or {})
@@ -548,7 +549,7 @@ def manual_map(alpha_rows, window=3, floor=-15.0, failures=None,
                         gamma=np.where(np.isnan(alpha), np.nan, 1.0),
                         failures=counts, sparse_windows=sparse, elapsed_ns=3,
                         window=window, estimator=TRAD, alpha_floor=floor,
-                        model=I, looks=2.0, moments_ns=1, estimate_ns=1)
+                        model=I, looks=looks, moments_ns=1, estimate_ns=1)
 
 
 class TestWriteMap:
@@ -569,6 +570,22 @@ class TestWriteMap:
                         "alpha_floor": -15.0, "moments_ns": 1, "estimate_ns": 1}
         assert list(meta)[:6] == ["n_failures", "failures", "sparse_windows",
                                   "elapsed_ns", "window", "estimator"]
+
+    def test_numpy_looks_and_window_give_plain_numbers(self, tmp_path):
+        pixels = np.random.default_rng(3).gamma(4.0, 1.0, 25)
+        r = Raster(width=5, height=5, pixels=pixels, model=I, looks=np.int64(4))
+        write_map(roughness_map(r, window=np.int64(3), kind=TRAD), tmp_path / "m.pgm")
+        text = (tmp_path / "m.pgm.meta.json").read_text()
+        assert '"window": 3,' in text and '"looks": 4.0,' in text
+        meta = json.loads(text)
+        assert type(meta["window"]) is int and type(meta["looks"]) is float
+
+    @pytest.mark.parametrize("name", ["m.csv", "m.pgm"])
+    def test_unserializable_sidecar_writes_no_file(self, tmp_path, name):
+        m = manual_map([[-1.5, -2.0]], looks=np.float32(2.0))
+        with pytest.raises(TypeError, match="float32"):
+            write_map(m, tmp_path / name)
+        assert list(tmp_path.iterdir()) == []
 
     def test_golden_csv_and_pgm_bytes(self, tmp_path):
         # Bytes written by the per-element formatter this export replaced.
