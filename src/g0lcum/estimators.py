@@ -19,6 +19,10 @@ from .model import LogCumulants, ModelKind, NamedEnum, Sample, check_looks
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _EPS = np.finfo(float).eps
+# A scale estimate looks * exp(x) is taken as too large for a float64 once x
+# reaches ln(float64 max) - ln(looks), less 1e-9 for the rounding of that
+# bound and of exp, so every estimate below it is finite.
+_LOG_GAMMA_MAX = math.log(np.finfo(float).max) - 1e-9
 # Default lower bound of an admissible roughness estimate: a root below it
 # fails with RootOutOfRange.
 ALPHA_FLOOR = -15.0
@@ -51,9 +55,8 @@ _CODE = {reason: code for code, reason in enumerate(FAILURE_CODES)}
 
 
 def count_failures(code) -> dict:
-    """Count of each FailureReason value among an array of outcome codes;
-    codes <= 0 are not failures."""
-    counts = np.bincount(code[code > 0], minlength=len(FAILURE_CODES))
+    """Count of each FailureReason value among an array of outcome codes."""
+    counts = np.bincount(np.ravel(code), minlength=len(FAILURE_CODES))
     return {reason.value: int(counts[c]) for c, reason in enumerate(FAILURE_CODES)
             if reason is not None}
 
@@ -178,18 +181,25 @@ def bayes_correct_eta(eta: EtaEstimate) -> EtaEstimate:
 
 def _gamma_hat(alpha_hat, k1, looks: float, model: ModelKind):
     """estimate_gamma's formula, unchecked: alpha_hat must already be finite
-    and negative. Scalars or arrays of alpha_hat and k1; looks is one
-    number, so its psi is taken as a Python float."""
-    return looks * np.exp(model.k1_scale * k1 - float(_psi(looks)) + _psi(-alpha_hat))
+    and negative, and looks a float >= 1. Scalars or arrays of alpha_hat and
+    k1; looks is one number, so its psi is taken as a Python float. NaN
+    where the estimate is too large for a float64: the exponent shows it
+    before exp runs, so no overflow warning is raised."""
+    x = model.k1_scale * k1 - float(_psi(looks)) + _psi(-alpha_hat)
+    fits = x < _LOG_GAMMA_MAX - math.log(looks)
+    if isinstance(x, float):  # np.float64 is a float; cheaper than np.ndim(x) == 0
+        return looks * np.exp(x) if fits else math.nan
+    return looks * np.exp(x, out=np.full(x.shape, np.nan), where=fits)
 
 
 def estimate_gamma(alpha_hat, k1, looks: float, model: ModelKind):
     """Scale estimate from the first log-cumulant once roughness is known;
-    scalars or arrays of alpha_hat and k1."""
+    scalars or arrays of alpha_hat and k1. NaN where it is too large for a
+    float64."""
     a = np.asarray(alpha_hat, dtype=float)
     if not (np.isfinite(a) & (a < 0.0)).all():
         raise ValueError(f"alpha_hat must be negative, got {alpha_hat!r}")
-    gamma = _gamma_hat(a, k1, looks, model)
+    gamma = _gamma_hat(a, k1, check_looks(looks), model)
     return float(gamma) if a.ndim == 0 else gamma
 
 
@@ -256,6 +266,8 @@ def estimate_alpha(s: Sample, looks: float, model: ModelKind, kind: EstimatorKin
     gamma_hat = None
     if alpha_hat is not None:
         gamma_hat = float(_gamma_hat(alpha_hat, k1, looks, model))
+        if math.isnan(gamma_hat):  # too large for a float64
+            gamma_hat = None
     elapsed = time.perf_counter_ns() - t0
     return EstimateResult(
         alpha_hat=alpha_hat,

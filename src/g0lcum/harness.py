@@ -73,8 +73,8 @@ class MCConfig:
                 raise ValueError("every sweep list must be nonempty")
             if len(set(values)) != len(values):
                 raise ValueError(f"{name} has a repeated value")
-        if any(not a < -1.0 for a in self.alphas):
-            raise ValueError("alphas must be < -1 so the unit-mean scale exists")
+        for alpha, looks in product(self.alphas, self.looks):
+            G0Params(alpha, unit_mean_gamma(alpha), looks)  # as every cell builds them
         if any(n < 1 for n in self.sizes):
             raise ValueError("sizes must be positive")
         if self.trials < 1:
@@ -198,7 +198,7 @@ def _run_sample_cell(cfg: MCConfig, cell_index: int) -> dict:
         out[kind] = CellStats(
             model=model, estimator=kind, alpha=alpha, looks=looks, n=n,
             trials=cfg.trials, successes=ok.size, failures=count_failures(code),
-            mse=mse(np.column_stack([ok, np.full(ok.size, alpha)])) if ok.size else None,
+            mse=float(np.mean((ok - alpha) ** 2)) if ok.size else None,
             mean_time_ns=elapsed / cfg.trials,
         )
     return out

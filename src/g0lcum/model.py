@@ -9,6 +9,7 @@ import enum
 import math
 import numbers
 import re
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,11 @@ def parse_count(value) -> int:
     raise ValueError(f"count {value!r} is not a nonnegative whole number")
 
 
+# The sampler's F law has 2 * looks and -2 * alpha degrees of freedom, which
+# must be finite: neither |alpha| nor looks may exceed half the float64 maximum.
+_HALF_FLOAT_MAX = sys.float_info.max / 2.0
+
+
 class MomentUndefinedError(ValueError):
     """The requested moment order violates the roughness constraint."""
 
@@ -107,11 +113,15 @@ class G0Params:
     looks: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.alpha) and self.alpha < 0.0):
-            raise ValueError(f"alpha must be negative, got {self.alpha!r}")
+        if not -_HALF_FLOAT_MAX <= self.alpha < 0.0:
+            raise ValueError(f"alpha must be negative and at least {-_HALF_FLOAT_MAX!r}, "
+                             f"got {self.alpha!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
-        object.__setattr__(self, "looks", check_looks(self.looks))
+        looks = check_looks(self.looks)
+        if looks > _HALF_FLOAT_MAX:
+            raise ValueError(f"looks must be at most {_HALF_FLOAT_MAX!r}, got {self.looks!r}")
+        object.__setattr__(self, "looks", looks)
 
 
 @dataclass(frozen=True)

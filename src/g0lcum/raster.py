@@ -30,8 +30,6 @@ _CHUNK_WINDOWS = 512
 # Windows per estimate_from_moments call of the map's estimation phase,
 # which bounds its temporaries on large rasters.
 _ESTIMATE_WINDOWS = 16 * _CHUNK_WINDOWS
-# Outcome code of a window with fewer than 4 usable pixels.
-_SPARSE = -1
 # A PGM header: the magic, then width, height and maxval in ASCII digits, each
 # token after whitespace and '#' comments that run to the end of their line. A
 # token runs to the next whitespace byte, so '3#c' or '+3' is one bad token.
@@ -244,26 +242,26 @@ def _map_moments(logs: np.ndarray, window: int, parallelism: int) -> tuple:
     return n, k1, k2, m4
 
 
-def _estimate_windows(n, k1, k2, m4, model, looks, kind) -> tuple:
-    """Estimates and outcome codes of windows from their moments, arrays of
-    one shape: estimate_from_moments over the windows with n >= 4, in
-    slices of at most _ESTIMATE_WINDOWS, and code _SPARSE for the rest."""
-    est = np.flatnonzero(n >= 4)
-    alpha, gamma = np.full((2, n.size), np.nan)
-    code = np.full(n.size, _SPARSE, dtype=np.int8)
-    moments = [np.ravel(m) for m in (n, k1, k2, m4)]
-    for s in range(0, est.size, _ESTIMATE_WINDOWS):
-        idx = est[s:s + _ESTIMATE_WINDOWS]
+def _estimate_windows(n, k1, k2, m4, model, looks, kind, alpha, gamma) -> np.ndarray:
+    """estimate_from_moments over the windows with n >= 4, in slices of at
+    most _ESTIMATE_WINDOWS, writing their estimates into ``alpha`` and
+    ``gamma``, 2-D arrays shaped like the moments. Returns every window's
+    outcome code, 0 for a window not estimated."""
+    rows, cols = np.nonzero(n >= 4)
+    code = np.zeros(n.shape, dtype=np.int8)
+    for s in range(0, rows.size, _ESTIMATE_WINDOWS):
+        idx = rows[s:s + _ESTIMATE_WINDOWS], cols[s:s + _ESTIMATE_WINDOWS]
         alpha[idx], gamma[idx], code[idx] = estimate_from_moments(
-            *(m[idx] for m in moments), looks, model, kind, ALPHA_FLOOR)
-    return alpha.reshape(n.shape), gamma.reshape(n.shape), code.reshape(n.shape)
+            *(m[idx] for m in (n, k1, k2, m4)), looks, model, kind, ALPHA_FLOOR)
+    return code
 
 
 def roughness_map(r: Raster, window: int, kind: EstimatorKind,
                   parallelism: int = 1) -> RoughnessMap:
     """Per-pixel roughness over every pixel whose full window fits in the
     raster; the border frame stays absent. Zero pixels are dropped from each
-    window, and windows with fewer than 4 usable pixels count as failures.
+    window, and windows with fewer than 4 usable pixels are sparse: never
+    estimated, and counted in n_failures but not in failures.
 
     Logs are taken once over the whole raster. The map is then made in two
     phases. First, up to ``parallelism`` threads take the window moments of
@@ -287,16 +285,15 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
     logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
     moments = _map_moments(logs, window, parallelism)
     t1 = time.perf_counter_ns()
-    a, g, code = _estimate_windows(*moments, r.model, r.looks, kind)
-    t2 = time.perf_counter_ns()
     alpha, gamma = np.full((2, r.height, r.width), np.nan)
-    half = window // 2
-    alpha[half:half + code.shape[0], half:half + code.shape[1]] = a
-    gamma[half:half + code.shape[0], half:half + code.shape[1]] = g
+    interior = np.s_[window // 2:r.height - window // 2, window // 2:r.width - window // 2]
+    code = _estimate_windows(*moments, r.model, r.looks, kind,
+                             alpha[interior], gamma[interior])
+    t2 = time.perf_counter_ns()
     elapsed = time.perf_counter_ns() - t0
     return RoughnessMap(width=r.width, height=r.height, alpha=alpha, gamma=gamma,
                         failures=count_failures(code),
-                        sparse_windows=int(np.count_nonzero(code == _SPARSE)),
+                        sparse_windows=int(np.count_nonzero(moments[0] < 4)),
                         elapsed_ns=elapsed,
                         window=int(window), estimator=kind, alpha_floor=ALPHA_FLOOR,
                         model=r.model, looks=r.looks,

@@ -122,6 +122,26 @@ class TestEstimate:
         assert payload["alpha_hat"] is None
         assert payload["gamma_hat"] is None
 
+    def test_scale_too_large_for_float64_is_null(self, tmp_path, capsys):
+        """A sample around 1e200 in amplitude has a scale near 1e400: the
+        estimate succeeds, and gamma_hat is null, not the non-JSON Infinity."""
+        values = np.exp(np.random.default_rng(1).normal(0.0, 0.5, 25)) * 1e200
+        path = tmp_path / "big.csv"
+        path.write_text("z\n" + "".join(f"{v!r}\n" for v in values.tolist()))
+        capsys.readouterr()
+        assert run_cli("estimate", "--in", str(path), "--looks", "3",
+                       "--model", "amplitude", "--estimator", "poly") == 0
+        out, err = capsys.readouterr()
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        payload = json.loads(out, parse_constant=reject)
+        assert err == ""
+        assert payload["status"] == "Ok" and payload["failure"] is None
+        assert -15.0 <= payload["alpha_hat"] < 0.0
+        assert payload["gamma_hat"] is None
+
 
 class TestMc:
     def test_default_config_yields_360_rows(self, tmp_path):
@@ -177,6 +197,27 @@ class TestMc:
         assert err.startswith(f"g0lcum: error: {error}") and err.count("\n") == 1
         assert not out.exists()
 
+
+    def test_parameters_the_sampler_cannot_use_fail_before_any_cell(self, tmp_path,
+                                                                       capsys, monkeypatch):
+        """An alpha whose F degrees of freedom overflow fails with the config,
+        before the cells of the alphas ahead of it run."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alphas": [-3.0, -1e308], "trials": 300}))
+        out = tmp_path / "report.json"
+
+        def no_cell(*args):
+            pytest.fail("a cell was sampled")
+
+        monkeypatch.setattr(model, "sample_g0_stack", no_cell)
+        monkeypatch.setattr(harness, "sample_g0_stack", no_cell)
+        capsys.readouterr()
+        assert run_cli("mc", "--config", str(cfg), "--out", str(out),
+                       "--format", "json", "--threads", "1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("g0lcum: error: alpha must be negative and at least ")
+        assert err.endswith("got -1e+308\n") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_dead_worker_exits_1(self, tmp_path, capsys, monkeypatch):
         """A pool worker that dies is an error of the run, not of its I/O.
@@ -423,6 +464,19 @@ class TestExitCodes:
                        "--model", "intensity", "--n", n, "--seed", "1",
                        "--out", str(tmp_path / "s.csv")) == 1
         assert capsys.readouterr().err == f"g0lcum: error: {message}\n"
+        assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("alpha, looks, name", [("-3", "1e308", "looks"),
+                                                    ("-1e308", "2", "alpha")])
+    def test_parameters_the_sampler_cannot_use(self, tmp_path, capsys, alpha, looks, name):
+        """The sampler's F law has 2 looks and -2 alpha degrees of freedom,
+        which must be finite; the error names the parameter."""
+        assert run_cli("sample", "--alpha", alpha, "--looks", looks,
+                       "--model", "intensity", "--n", "5", "--seed", "1",
+                       "--out", str(tmp_path / "s.csv")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"g0lcum: error: {name} must be ") and err.count("\n") == 1
+        assert err.endswith(f"got {float(alpha if name == 'alpha' else looks)!r}\n")
         assert not (tmp_path / "s.csv").exists()
 
     def test_negative_seed_is_domain_error_naming_the_seed(self, tmp_path, capsys):

@@ -384,6 +384,12 @@ class TestEstimateGamma:
         with pytest.raises(ValueError):
             estimate_gamma(0.0, 0.0, 1.0, I)
 
+    def test_scale_too_large_for_float64_is_nan(self):
+        """ln(1.8e308) is 709.78: an exponent past it gives NaN, no warning."""
+        assert math.isnan(estimate_gamma(-3.0, 800.0, 1.0, I))
+        got = estimate_gamma(np.array([-3.0, -3.0]), np.array([0.25, 800.0]), 1.0, I)
+        assert got[0] == estimate_gamma(-3.0, 0.25, 1.0, I) and math.isnan(got[1])
+
 
 class TestEstimateAlpha:
     def test_statistical_round_trip(self):
@@ -546,6 +552,18 @@ class TestEstimateFromMoments:
                 np.testing.assert_array_equal(alpha[ok], expected)
             else:
                 np.testing.assert_allclose(alpha[ok], expected, rtol=1e-12, atol=0.0)
+
+    def test_scale_too_large_for_float64_is_nan_on_success(self):
+        """The moments of a sample around 1e200 in amplitude: the roughness
+        estimate succeeds, and the scale, near 1e400, is NaN."""
+        values = np.exp(np.random.default_rng(1).normal(0.0, 0.5, 25)) * 1e200
+        moments = log_moments(np.log(values[np.newaxis]))
+        alpha, gamma, code = estimate_from_moments(25, *moments, 3.0, A,
+                                                   EstimatorKind.FAST_POLY)
+        assert code.tolist() == [0]
+        assert -15.0 <= alpha[0] < 0.0 and math.isnan(gamma[0])
+        res = estimate_alpha(Sample(values, A), 3.0, A, EstimatorKind.FAST_POLY)
+        assert (res.status, res.alpha_hat, res.gamma_hat) == (Status.OK, alpha[0], None)
 
     @pytest.mark.parametrize("looks", [0.5, math.nan, math.inf])
     def test_rejects_bad_looks(self, looks):

@@ -117,11 +117,12 @@ def map_of(grid: np.ndarray, model: ModelKind, kind: EstimatorKind):
     m = roughness_map(r, window=5, kind=kind)
     logs = np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
     windows = sliding_window_view(logs, (5, 5))
-    moments = raster._window_moments(windows.reshape(-1, 25))
-    _, _, code = raster._estimate_windows(*(x.reshape(windows.shape[:2]) for x in moments),
-                                          model, LOOKS, kind)
+    n, *moments = (x.reshape(windows.shape[:2])
+                   for x in raster._window_moments(windows.reshape(-1, 25)))
+    code = raster._estimate_windows(n, *moments, model, LOOKS, kind,
+                                    *np.full((2, *n.shape), np.nan))
     assert m.failures == count_failures(code)
-    assert m.sparse_windows == np.count_nonzero(code == raster._SPARSE) > 0
+    assert m.sparse_windows == np.count_nonzero(n < 4) > 0
     return m.alpha, m.gamma, code
 
 

@@ -308,20 +308,33 @@ def log_grid(grid) -> np.ndarray:
     return np.log(grid, out=np.full(grid.shape, np.nan), where=grid > 0.0)
 
 
+def estimate_band(moments, model, kind, looks):
+    """Per-window alpha, gamma and outcome code that the estimation phase
+    gives for these window moments, NaN where it writes no estimate."""
+    alpha, gamma = np.full((2, *moments[0].shape), np.nan)
+    code = raster._estimate_windows(*moments, model, looks, kind, alpha, gamma)
+    return alpha, gamma, code
+
+
 def kernel_band(grid, model, kind, window, looks):
     """Per-window alpha, gamma and outcome code straight from the kernel's
     two stages, every window through the masked moments."""
     windows = sliding_window_view(log_grid(grid), (window, window))
     moments = raster._window_moments(windows.reshape(-1, window * window))
-    return raster._estimate_windows(*(m.reshape(windows.shape[:2]) for m in moments),
-                                    model, looks, kind)
+    return estimate_band([m.reshape(windows.shape[:2]) for m in moments], model, kind, looks)
 
 
 def chunked_band(grid, model, kind, window, looks):
     """Per-window alpha, gamma and outcome code from the map's own moments
     phase, which skips the mask on chunks whose footprint has no zero."""
     moments = raster._map_moments(log_grid(grid), window, parallelism=1)
-    return raster._estimate_windows(*moments, model, looks, kind)
+    return estimate_band(moments, model, kind, looks)
+
+
+def sparse_count(grid, window) -> int:
+    """Windows of ``grid`` with fewer than 4 positive pixels."""
+    usable = sliding_window_view(grid > 0.0, (window, window)).sum(axis=(2, 3))
+    return int(np.count_nonzero(usable < 4))
 
 
 def scattered_zero_scene(height=30, width=40, seed=21) -> np.ndarray:
@@ -345,7 +358,7 @@ def assert_matches_scalar_estimate(grid, model, kind, window, looks, band=kernel
         usable = win[win > 0.0]
         sizes.add(usable.size)
         if usable.size < 4:
-            assert c == raster._SPARSE and np.isnan(alpha[i, j]), (i, j)
+            assert c == 0 and np.isnan(alpha[i, j]) and np.isnan(gamma[i, j]), (i, j)
             continue
         res = estimate_alpha(Sample(usable, model), looks, model, kind)
         assert FAILURE_CODES[c] is res.failure, (i, j)
@@ -401,7 +414,7 @@ class TestMapKernel:
         _, _, code = kernel_band(grid, I, kind, 5, 2.0)
         r = Raster(width=40, height=30, pixels=grid.ravel(), model=I, looks=2.0)
         m = roughness_map(r, window=5, kind=kind)
-        assert m.sparse_windows == np.count_nonzero(code == raster._SPARSE) > 0
+        assert m.sparse_windows == sparse_count(grid, 5) > 0
         assert m.failures == {reason.value: int(np.count_nonzero(code == c))
                               for c, reason in enumerate(FAILURE_CODES) if reason}
         assert m.failures["NoRealRootOrMultiple"] > 0
@@ -448,7 +461,7 @@ class TestMapKernel:
                 sys.setswitchinterval(interval)
             np.testing.assert_array_equal(m.alpha[half:-half, half:-half], whole[0])
             np.testing.assert_array_equal(m.gamma[half:-half, half:-half], whole[1])
-            assert m.sparse_windows == np.count_nonzero(whole[2] == raster._SPARSE)
+            assert m.sparse_windows == sparse_count(grid, window)
             assert m.failures == {reason.value: int(np.count_nonzero(whole[2] == c))
                                   for c, reason in enumerate(FAILURE_CODES) if reason}
 
