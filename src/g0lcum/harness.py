@@ -30,6 +30,9 @@ from .model import (G0Params, ModelKind, check_looks, check_seed, is_int, is_rea
 _DEFAULT_ALPHAS = (-1.5, -3.0, -5.0)
 _DEFAULT_LOOKS = (1.0, 3.0, 8.0)
 _DEFAULT_SIZES = (9, 25, 49, 121, 1000)
+# Values per sample_g0_stack call of a campaign cell, in whole trials (one at
+# least), so memory does not grow with trials; a default-grid cell is one block.
+_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -79,8 +82,8 @@ class MCConfig:
             raise ValueError("sizes must be positive")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        # A cell's samples are one (trials, n) float64 stack, whose size in
-        # bytes numpy holds in an intp.
+        # No more float64 values than one array can hold; a cell allocates its
+        # moment arrays first, so a count memory cannot hold fails at once.
         if self.trials * max(self.sizes) > np.iinfo(np.intp).max // 8:
             raise ValueError(f"trials {self.trials} at sample size {max(self.sizes)} is "
                              "more float64 values than one array can hold")
@@ -178,20 +181,25 @@ def mse(estimates) -> float:
 
 
 def _run_sample_cell(cfg: MCConfig, cell_index: int) -> dict:
-    """Every requested estimator on one sample cell. The trials are drawn as
-    one stack, each row from its own seed, and estimated as one batch.
-    The timing covers the log moments of the batch plus the estimator."""
+    """Every requested estimator on one sample cell, whose trials are drawn in
+    blocks, each row from its own seed, and kept as log moments only. The
+    timing covers the log moments plus the estimator."""
     model, alpha, looks, n = cfg.sample_cells()[cell_index]
     params = G0Params(alpha=alpha, gamma=unit_mean_gamma(alpha), looks=looks)
-    seeds = (trial_seed(cfg.seed, cell_index, t) for t in range(cfg.trials))
-    values = sample_g0_stack(params, model, n, seeds, cfg.trials)
-    t0 = time.perf_counter_ns()
-    moments = log_moments(np.log(values))
-    moments_ns = time.perf_counter_ns() - t0
+    k1, k2, m4 = (np.empty(cfg.trials) for _ in range(3))
+    step = max(1, _BLOCK_VALUES // n)
+    moments_ns = 0
+    for start in range(0, cfg.trials, step):
+        block = slice(start, start + step)
+        seeds = [trial_seed(cfg.seed, cell_index, t) for t in range(cfg.trials)[block]]
+        values = sample_g0_stack(params, model, n, seeds)
+        t0 = time.perf_counter_ns()
+        k1[block], k2[block], m4[block] = log_moments(np.log(values))
+        moments_ns += time.perf_counter_ns() - t0
     out = {}
     for kind in cfg.estimators:
         t0 = time.perf_counter_ns()
-        alpha_hat, _, code = estimate_from_moments(n, *moments, looks, model, kind,
+        alpha_hat, _, code = estimate_from_moments(n, k1, k2, m4, looks, model, kind,
                                                    cfg.alpha_floor)
         elapsed = time.perf_counter_ns() - t0 + moments_ns
         ok = alpha_hat[code == 0]

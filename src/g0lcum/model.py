@@ -100,6 +100,11 @@ def parse_count(value) -> int:
 # The sampler's F law has 2 * looks and -2 * alpha degrees of freedom, which
 # must be finite: neither |alpha| nor looks may exceed half the float64 maximum.
 _HALF_FLOAT_MAX = sys.float_info.max / 2.0
+# Redraw rounds a sample row may take before the sampler gives up on its
+# parameters. Heavy tails need many: alpha -0.001 (gamma 1, looks 2, n 1000)
+# takes 212, its draws 96% unusable. A scale -gamma/alpha that rounds to 0 or
+# inf, or an alpha so near 0 that the F quantile is always inf, never ends.
+_REDRAW_ROUNDS = 1000
 
 
 class MomentUndefinedError(ValueError):
@@ -202,29 +207,28 @@ def unit_mean_gamma(alpha: float) -> float:
     return -alpha - 1.0
 
 
-def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds,
-                    trials: int | None = None) -> np.ndarray:
-    """sample_g0 for many seeds at once: row t of the (trials, n) result is
-    sample_g0(params, model, n, seeds[t]).values. ``seeds`` is a sequence,
-    or any iterable of exactly ``trials`` seeds; it is read only once the
-    stack is allocated, so a size too large to hold fails before any seed
-    is taken. One F quantile runs over the whole stack, and one check finds
-    the rows that need a redraw; each of those redraws from its own
-    generator."""
+def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds) -> np.ndarray:
+    """sample_g0 for a sequence of seeds at once: row t of the (len(seeds), n)
+    result is sample_g0(params, model, n, seeds[t]).values. One F quantile
+    runs over the whole stack, and one check finds the rows that need a
+    redraw; each of those redraws from its own generator, for at most
+    _REDRAW_ROUNDS rounds."""
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n!r}")
-    u = np.empty((len(seeds) if trials is None else trials, n))
+    u = np.empty((len(seeds), n))
     rngs = []
-    for row, seed in zip(u, seeds, strict=True):
+    for row, seed in zip(u, seeds):
         rng = np.random.Generator(np.random.Philox(seed))
         rng.random(out=row)
         rngs.append(rng)
     d1, d2, scale = 2.0 * params.looks, -2.0 * params.alpha, -params.gamma / params.alpha
 
     def draw(u: np.ndarray) -> np.ndarray:
-        za = np.sqrt(scale * specfun.f_quantile(u, d1, d2))
-        return za * za if model is ModelKind.INTENSITY else za
+        # An overflow gives inf, which is redrawn.
+        with np.errstate(over="ignore"):
+            za = np.sqrt(scale * specfun.f_quantile(u, d1, d2))
+            return za * za if model is ModelKind.INTENSITY else za
 
     def bad(z: np.ndarray) -> np.ndarray:
         # z = 0, from a zero uniform, is redrawn too.
@@ -232,9 +236,15 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds,
 
     z = draw(u)
     for t in np.flatnonzero(bad(z).any(axis=1)):
-        row, rng = z[t], rngs[t]
-        while (redo := bad(row)).any():
+        row, rng, redo = z[t], rngs[t], bad(z[t])
+        for _ in range(_REDRAW_ROUNDS):
             row[redo] = draw(rng.random(int(redo.sum())))
+            if not (redo := bad(row)).any():
+                break
+        else:
+            raise ValueError(f"alpha {params.alpha!r}, gamma {params.gamma!r} and looks "
+                             f"{params.looks!r} give no usable draw in {_REDRAW_ROUNDS} "
+                             "redraw rounds")
     return z
 
 

@@ -1,5 +1,6 @@
 """Command-line binding: flag surfaces, JSON/CSV outputs, exit codes."""
 
+import contextlib
 import json
 import os
 import re
@@ -34,6 +35,21 @@ def _exit_in_second_cell(cfg, index):
     if index == 1:
         os._exit(3)
     return _RUN_SAMPLE_CELL(cfg, index)
+
+
+@contextlib.contextmanager
+def fail_after(seconds, what):
+    """Fail the test if the body is still running after ``seconds``."""
+    def hung(signum, frame):
+        pytest.fail(f"{what} still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def write_sample(tmp_path, name="s.csv", alpha=-3.0, looks=2.0, n=400, seed=7):
@@ -173,25 +189,16 @@ class TestMc:
         (10 ** 12, "out of memory: Unable to allocate")])
     def test_impossible_trial_count_fails_at_once(self, tmp_path, capsys, trials, error):
         """A trial count no array can hold is rejected with the config, and a
-        cell's stack is allocated before any seed is derived, so a count no
-        memory can hold fails in one line instead of running on."""
+        cell's moment arrays are allocated before any trial is drawn, so a
+        count no memory can hold fails in one line instead of running on."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"trials": trials, "alphas": [-3.0], "looks": [1.0],
                                    "sizes": [9], "models": ["intensity"],
                                    "estimators": ["poly"]}))
         out = tmp_path / "report.json"
-
-        def hung(signum, frame):
-            pytest.fail(f"mc with {trials} trials still running after 20 s")
-
-        previous = signal.signal(signal.SIGALRM, hung)
-        signal.alarm(20)
-        try:
+        with fail_after(20, f"mc with {trials} trials"):
             code = run_cli("mc", "--config", str(cfg), "--out", str(out),
                            "--format", "json", "--threads", "1")
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"g0lcum: error: {error}") and err.count("\n") == 1
@@ -478,6 +485,24 @@ class TestExitCodes:
         assert err.startswith(f"g0lcum: error: {name} must be ") and err.count("\n") == 1
         assert err.endswith(f"got {float(alpha if name == 'alpha' else looks)!r}\n")
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("alpha, gamma", [("-1e-30", "1"), ("-1e-300", "1e10"),
+                                              ("-3", "5e-324")])
+    def test_parameters_with_no_usable_draw_fail_at_once(self, tmp_path, capsys,
+                                                         alpha, gamma):
+        """An F scale -gamma/alpha that rounds to inf or 0, or an alpha so near 0
+        that every F quantile overflows, redraws a bounded number of rounds,
+        then fails naming the parameters."""
+        out = tmp_path / "s.csv"
+        with fail_after(10, f"sample at alpha {alpha}, gamma {gamma}"):
+            code = run_cli("sample", "--alpha", alpha, "--gamma", gamma, "--looks", "2",
+                           "--model", "intensity", "--n", "3", "--seed", "1",
+                           "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"g0lcum: error: alpha {float(alpha)!r}, gamma {float(gamma)!r} and looks 2.0 "
+            f"give no usable draw in {model._REDRAW_ROUNDS} redraw rounds\n")
+        assert not out.exists()
 
     def test_negative_seed_is_domain_error_naming_the_seed(self, tmp_path, capsys):
         """The sampler and a campaign config reject a negative seed in one message."""

@@ -1,8 +1,10 @@
 """Monte Carlo campaign layer: config parsing/validation, seed derivation,
 per-cell aggregation, determinism across parallelism, and report round trips."""
 
+import dataclasses
 import json
 import re
+import tracemalloc
 
 import pytest
 
@@ -224,6 +226,47 @@ class TestRunCampaign:
     def test_rejects_bad_parallelism(self):
         with pytest.raises(ValueError):
             run_campaign(MCConfig(trials=1), parallelism=0)
+
+    def test_blocks_of_whole_trials_keep_every_cell(self, monkeypatch):
+        """With blocks of 100 values, a 10-trial n = 25 cell draws 4, 4 and 2
+        trials, each block from the list of its trial seeds, and reports as
+        a cell drawn in one block does (timing aside)."""
+        cfg = MCConfig(alphas=(-1.5, -3.0), looks=(2.0,), sizes=(25,), trials=10,
+                       models=(I,), seed=6)
+        whole = run_campaign(cfg).cells
+        draw, seeds = harness.sample_g0_stack, []
+
+        def record(params, model, n, block):
+            seeds.append(block)
+            return draw(params, model, n, block)
+
+        monkeypatch.setattr(harness, "sample_g0_stack", record)
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", 100)
+        blocked = run_campaign(cfg).cells
+        assert [len(b) for b in seeds] == [4, 4, 2] * 2
+        assert all(type(b) is list for b in seeds)
+        assert sum(seeds, []) == [trial_seed(6, c, t) for c in (0, 1) for t in range(10)]
+        assert ([dataclasses.replace(c, mean_time_ns=0.0) for c in blocked]
+                == [dataclasses.replace(c, mean_time_ns=0.0) for c in whole])
+
+    def test_cell_memory_does_not_grow_with_blocked_trials(self, monkeypatch):
+        """A cell holds its trials' moments, not their samples: with blocks
+        of 10 trials at n = 100, each added trial raises its peak by under
+        400 B (a whole (trials, n) stack costs 8 B a value several times)."""
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", 1000)
+
+        def peak(trials):
+            cfg = MCConfig(alphas=(-3.0,), looks=(2.0,), sizes=(100,), trials=trials,
+                           models=(I,), seed=1)
+            tracemalloc.start()
+            try:
+                harness._run_sample_cell(cfg, 0)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(50)  # first-call allocations
+        assert (peak(2000) - peak(200)) / 1800 < 400
 
 
 def _toy_report():

@@ -1,16 +1,18 @@
 """Speckle model layer: densities, moments, log-cumulants, and the seeded
 synthetic sampler for both the intensity and amplitude variants."""
 
+import hashlib
 import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from g0lcum import cli, specfun
+from g0lcum import cli, model, specfun
 from g0lcum import (
     G0Params,
     LogCumulants,
@@ -282,15 +284,6 @@ class TestSampleStack:
             one = sample_g0(p, kind, n, seed).values
             assert np.array_equal(row.view(np.uint64), one.view(np.uint64))
 
-    def test_seed_iterator_of_a_given_length(self):
-        p = G0Params(-3.0, unit_mean_gamma(-3.0), 2.0)
-        stack = sample_g0_stack(p, I, 9, STACK_SEEDS)
-        lazy = sample_g0_stack(p, I, 9, iter(STACK_SEEDS), len(STACK_SEEDS))
-        assert np.array_equal(lazy.view(np.uint64), stack.view(np.uint64))
-        for trials in (len(STACK_SEEDS) - 1, len(STACK_SEEDS) + 1):
-            with pytest.raises(ValueError):
-                sample_g0_stack(p, I, 9, iter(STACK_SEEDS), trials)
-
     @staticmethod
     def force(monkeypatch, rows, bad):
         """Patch the F quantile so its first call returns the values ``bad``
@@ -342,6 +335,47 @@ class TestSampleStack:
             assert np.array_equal(stack[t].view(np.uint64), one.view(np.uint64)), t
             changed = np.flatnonzero(stack[t] != clean[t]).tolist()
             assert changed == sorted(forced.get(t, ())), t
+
+    @pytest.mark.parametrize("alpha, rounds, digest", [
+        (-0.001, 212, "7210f6591b103202054e2a39c7a38ff50b39108df1f177401283342db96429e4"),
+        (-0.01, 23, "6e491f3c5f0c318817375834edddb7e34c887e02ea1e0c1b57b43efaf6549e03")])
+    def test_heavy_tails_redraw_within_the_bound(self, monkeypatch, alpha, rounds, digest):
+        """Near alpha = 0 most draws overflow and are redrawn, for many
+        rounds; these samples keep the bits they had before rounds were
+        bounded."""
+        calls = self.force(monkeypatch, {}, 0.0)  # forces nothing; counts the calls
+        values = sample_g0(G0Params(alpha, 1.0, 2.0), I, 1000, 1).values
+        assert len(calls) - 1 == rounds < model._REDRAW_ROUNDS
+        assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("usable_after, fails", [(3, False), (4, True)])
+    def test_redraw_rounds_are_bounded(self, monkeypatch, usable_after, fails):
+        """A row whose draws stay unusable for _REDRAW_ROUNDS redraw rounds
+        fails naming the parameters; one usable in the last round does not."""
+        monkeypatch.setattr(model, "_REDRAW_ROUNDS", 3)
+        real, calls = specfun.f_quantile, []
+
+        def patched(u, d1, d2):
+            calls.append(np.shape(u))
+            return real(u, d1, d2) if len(calls) > usable_after else np.full(np.shape(u), np.inf)
+
+        monkeypatch.setattr(specfun, "f_quantile", patched)
+        p = G0Params(-3.0, 2.0, 2.0)
+        if fails:
+            with pytest.raises(ValueError, match=r"^alpha -3\.0, gamma 2\.0 and looks 2\.0 give "
+                                                 r"no usable draw in 3 redraw rounds$"):
+                sample_g0(p, I, 9, 1)
+        else:
+            assert len(sample_g0(p, I, 9, 1)) == 9
+        assert calls == [(1, 9)] + [(9,)] * 3
+
+    def test_overflow_in_the_draw_is_redrawn_silently(self):
+        """scale * F overflows to inf for a huge gamma; that draw is redrawn
+        without a RuntimeWarning."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = sample_g0(G0Params(-0.01, 1e300, 2.0), I, 200, 1).values
+        assert values.size == 200 and np.all(np.isfinite(values)) and np.all(values > 0.0)
 
 
 class TestSampleCsv:

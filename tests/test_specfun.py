@@ -11,10 +11,13 @@ import re
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
+import scipy.special
 from scipy.optimize import brentq
 from scipy.special import psi
 
@@ -329,6 +332,28 @@ def test_a_missing_special_ufuncs_module_falls_back_to_scipy_special(tmp_path):
         print("ok")
     """), str(tmp_path), os.path.dirname(__file__))
 
+
+def test_load_extension_names_the_missing_path():
+    stem = os.path.join(scipy.__path__[0], "optimize", "_no_such_module")
+    with pytest.raises(ImportError, match=re.escape(f"compiled module {stem} is missing")):
+        specfun._load_extension("optimize/_no_such_module")
+
+
+@pytest.mark.parametrize("found", [
+    None, types.SimpleNamespace(psi=np.sin, log_ndtr=np.cos, __file__="stub.so")])
+def test_special_ufuncs_fall_back_to_scipy_special(monkeypatch, found):
+    """A missing _special_ufuncs file, or one without gammaln, gives
+    scipy.special's own three functions and its file."""
+    def load(path):
+        assert path == "special/_special_ufuncs"
+        if found is None:
+            raise ImportError(path)
+        return found
+
+    monkeypatch.setattr(specfun, "_load_extension", load)
+    assert specfun._load_special_ufuncs() == (
+        (scipy.special.psi, scipy.special.log_ndtr, scipy.special.gammaln),
+        scipy.special.__file__)
 
 def approx_series(x: float) -> float:
     """The trigamma series through x^-7 that trigamma_approx_inverse
