@@ -180,11 +180,11 @@ def mse(estimates) -> float:
     return float(np.mean((pairs[:, 0] - pairs[:, 1]) ** 2))
 
 
-def _run_sample_cell(cfg: MCConfig, cell_index: int) -> dict:
-    """Every requested estimator on one sample cell, whose trials are drawn in
-    blocks, each row from its own seed, and kept as log moments only. The
-    timing covers the log moments plus the estimator."""
-    model, alpha, looks, n = cfg.sample_cells()[cell_index]
+def _run_sample_cell(cfg: MCConfig, cell_index: int, cell: tuple) -> dict:
+    """Every requested estimator on ``cell``, entry ``cell_index`` of the sample
+    cells, whose trials are drawn in blocks, each row from its own seed, and
+    kept as log moments only. The timing covers the log moments plus the estimator."""
+    model, alpha, looks, n = cell
     params = G0Params(alpha=alpha, gamma=unit_mean_gamma(alpha), looks=looks)
     k1, k2, m4 = (np.empty(cfg.trials) for _ in range(3))
     step = max(1, _BLOCK_VALUES // n)
@@ -219,14 +219,15 @@ def run_campaign(cfg: MCConfig, parallelism: int = 1) -> MCReport:
     model, then estimator, then alpha, looks and n."""
     if parallelism < 1:
         raise ValueError("parallelism must be >= 1")
-    indices = range(len(cfg.sample_cells()))
+    sample_cells = cfg.sample_cells()
+    work = range(len(sample_cells)), sample_cells
     run = functools.partial(_run_sample_cell, cfg)
-    if parallelism == 1 or len(indices) == 1:
-        partials = list(map(run, indices))
+    if parallelism == 1 or len(sample_cells) == 1:
+        partials = list(map(run, *work))
     else:
         specfun.import_special()  # once, before the workers fork
-        with ProcessPoolExecutor(max_workers=min(parallelism, len(indices))) as pool:
-            partials = list(pool.map(run, indices))
+        with ProcessPoolExecutor(max_workers=min(parallelism, len(sample_cells))) as pool:
+            partials = list(pool.map(run, *work))
     # Sample cells already run in (model, alpha, looks, n) order, and the
     # sort is stable.
     cells = sorted((stats for part in partials for stats in part.values()),

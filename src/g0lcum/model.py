@@ -102,8 +102,8 @@ def parse_count(value) -> int:
 _HALF_FLOAT_MAX = sys.float_info.max / 2.0
 # Redraw rounds a sample row may take before the sampler gives up on its
 # parameters. Heavy tails need many: alpha -0.001 (gamma 1, looks 2, n 1000)
-# takes 212, its draws 96% unusable. A scale -gamma/alpha that rounds to 0 or
-# inf, or an alpha so near 0 that the F quantile is always inf, never ends.
+# takes 212, its draws 96% unusable. An alpha so near 0 that the F quantile is
+# always inf never gives one; G0Params rejects a scale -gamma/alpha of 0 or inf.
 _REDRAW_ROUNDS = 1000
 
 
@@ -123,6 +123,9 @@ class G0Params:
                              f"got {self.alpha!r}")
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma must be positive, got {self.gamma!r}")
+        if not 0.0 < (scale := -self.gamma / self.alpha) < math.inf:
+            raise ValueError(f"alpha {self.alpha!r} and gamma {self.gamma!r} give the F "
+                             f"scale -gamma/alpha {scale!r}; it must be finite and positive")
         looks = check_looks(self.looks)
         if looks > _HALF_FLOAT_MAX:
             raise ValueError(f"looks must be at most {_HALF_FLOAT_MAX!r}, got {self.looks!r}")
@@ -211,17 +214,14 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds) -> np.nda
     """sample_g0 for a sequence of seeds at once: row t of the (len(seeds), n)
     result is sample_g0(params, model, n, seeds[t]).values. One F quantile
     runs over the whole stack, and one check finds the rows that need a
-    redraw; each of those redraws from its own generator, for at most
-    _REDRAW_ROUNDS rounds."""
+    redraw; each of those builds its generator again from its seed and
+    redraws from it, for at most _REDRAW_ROUNDS rounds."""
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n!r}")
     u = np.empty((len(seeds), n))
-    rngs = []
     for row, seed in zip(u, seeds):
-        rng = np.random.Generator(np.random.Philox(seed))
-        rng.random(out=row)
-        rngs.append(rng)
+        np.random.Generator(np.random.Philox(seed)).random(out=row)
     d1, d2, scale = 2.0 * params.looks, -2.0 * params.alpha, -params.gamma / params.alpha
 
     def draw(u: np.ndarray) -> np.ndarray:
@@ -236,7 +236,9 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds) -> np.nda
 
     z = draw(u)
     for t in np.flatnonzero(bad(z).any(axis=1)):
-        row, rng, redo = z[t], rngs[t], bad(z[t])
+        rng = np.random.Generator(np.random.Philox(seeds[t]))
+        rng.random(out=u[t])  # the same stream, past the n uniforms drawn above
+        row, redo = z[t], bad(z[t])
         for _ in range(_REDRAW_ROUNDS):
             row[redo] = draw(rng.random(int(redo.sum())))
             if not (redo := bad(row)).any():

@@ -323,13 +323,13 @@ def write_map(m: RoughnessMap, path) -> str:
             fmt, sep, cell = "pgm", " ", str
             scaled = (1.0 - m.alpha / m.alpha_floor) * 255.0
             scaled = np.where(np.isnan(m.alpha), 0.0, np.clip(scaled, 0.0, 255.0))
-            rows = np.rint(scaled).astype(int).tolist()
+            rows = np.rint(scaled).astype(int)
             fh.write(f"P2\n{m.width} {m.height}\n255\n")
         else:
             fmt, sep, cell = "csv", ",", repr
-            rows = np.where(np.isnan(m.alpha), 0.0, m.alpha).tolist()
+            rows = np.where(np.isnan(m.alpha), 0.0, m.alpha)
         for row in rows:
-            fh.write(sep.join(map(cell, row)))
+            fh.write(sep.join(map(cell, row.tolist())))
             fh.write("\n")
     with open(meta_path(path), "w") as fh:
         fh.write(meta)

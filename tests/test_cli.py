@@ -30,11 +30,11 @@ def run_cli(*argv):
 _RUN_SAMPLE_CELL = harness._run_sample_cell
 
 
-def _exit_in_second_cell(cfg, index):
+def _exit_in_second_cell(cfg, index, cell):
     """A campaign cell runner whose worker dies on cell 1."""
     if index == 1:
         os._exit(3)
-    return _RUN_SAMPLE_CELL(cfg, index)
+    return _RUN_SAMPLE_CELL(cfg, index, cell)
 
 
 @contextlib.contextmanager
@@ -486,13 +486,11 @@ class TestExitCodes:
         assert err.endswith(f"got {float(alpha if name == 'alpha' else looks)!r}\n")
         assert not (tmp_path / "s.csv").exists()
 
-    @pytest.mark.parametrize("alpha, gamma", [("-1e-30", "1"), ("-1e-300", "1e10"),
-                                              ("-3", "5e-324")])
+    @pytest.mark.parametrize("alpha, gamma", [("-1e-30", "1")])
     def test_parameters_with_no_usable_draw_fail_at_once(self, tmp_path, capsys,
                                                          alpha, gamma):
-        """An F scale -gamma/alpha that rounds to inf or 0, or an alpha so near 0
-        that every F quantile overflows, redraws a bounded number of rounds,
-        then fails naming the parameters."""
+        """An alpha so near 0 that every F quantile overflows redraws a bounded
+        number of rounds, then fails naming the parameters."""
         out = tmp_path / "s.csv"
         with fail_after(10, f"sample at alpha {alpha}, gamma {gamma}"):
             code = run_cli("sample", "--alpha", alpha, "--gamma", gamma, "--looks", "2",
@@ -502,6 +500,23 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"g0lcum: error: alpha {float(alpha)!r}, gamma {float(gamma)!r} and looks 2.0 "
             f"give no usable draw in {model._REDRAW_ROUNDS} redraw rounds\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("alpha, gamma, scale", [("-1e-300", "1e10", "inf"),
+                                                     ("-3", "5e-324", "0.0")])
+    def test_impossible_f_scale_fails_before_drawing(self, tmp_path, capsys,
+                                                     alpha, gamma, scale):
+        """An F scale -gamma/alpha that rounds to inf or 0 fails before a value
+        is drawn, whatever n, naming alpha and gamma."""
+        out = tmp_path / "s.csv"
+        with fail_after(10, f"sample at alpha {alpha}, gamma {gamma}"):
+            code = run_cli("sample", "--alpha", alpha, "--gamma", gamma, "--looks", "2",
+                           "--model", "intensity", "--n", "20000", "--seed", "1",
+                           "--out", str(out))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"g0lcum: error: alpha {float(alpha)!r} and gamma {float(gamma)!r} give the "
+            f"F scale -gamma/alpha {scale}; it must be finite and positive\n")
         assert not out.exists()
 
     def test_negative_seed_is_domain_error_naming_the_seed(self, tmp_path, capsys):

@@ -213,8 +213,8 @@ class TestRunCampaign:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, work):
-                return map(fn, work)
+            def map(self, fn, *work):
+                return map(fn, *work)
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
         cfg = MCConfig(alphas=(-1.5, -3.0), looks=(1.0,), sizes=(9,), trials=5,
@@ -249,24 +249,45 @@ class TestRunCampaign:
         assert ([dataclasses.replace(c, mean_time_ns=0.0) for c in blocked]
                 == [dataclasses.replace(c, mean_time_ns=0.0) for c in whole])
 
-    def test_cell_memory_does_not_grow_with_blocked_trials(self, monkeypatch):
-        """A cell holds its trials' moments, not their samples: with blocks
-        of 10 trials at n = 100, each added trial raises its peak by under
-        400 B (a whole (trials, n) stack costs 8 B a value several times)."""
-        monkeypatch.setattr(harness, "_BLOCK_VALUES", 1000)
+    @pytest.mark.parametrize("n, block_values, few, many", [
+        (100, 1000, 200, 2000), (1, harness._BLOCK_VALUES, 2000, 20000)])
+    def test_cell_memory_does_not_grow_with_blocked_trials(self, monkeypatch, n,
+                                                           block_values, few, many):
+        """A cell holds its trials' moments, not their samples or generators:
+        with blocks of 10 trials at n = 100, or one block of up to 2^20
+        trials at n = 1, each added trial raises its peak by under 400 B (a
+        whole (trials, n) stack costs 8 B a value several times, and a kept
+        generator about 1 KB)."""
+        monkeypatch.setattr(harness, "_BLOCK_VALUES", block_values)
 
         def peak(trials):
-            cfg = MCConfig(alphas=(-3.0,), looks=(2.0,), sizes=(100,), trials=trials,
+            cfg = MCConfig(alphas=(-3.0,), looks=(2.0,), sizes=(n,), trials=trials,
                            models=(I,), seed=1)
             tracemalloc.start()
             try:
-                harness._run_sample_cell(cfg, 0)
+                harness._run_sample_cell(cfg, 0, cfg.sample_cells()[0])
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
         peak(50)  # first-call allocations
-        assert (peak(2000) - peak(200)) / 1800 < 400
+        assert (peak(many) - peak(few)) / (many - few) < 400
+
+    def test_campaign_builds_its_cell_list_once(self, monkeypatch):
+        """run_campaign hands each cell runner its own cell; no runner builds
+        the grid again."""
+        calls = []
+        real = MCConfig.sample_cells
+
+        def counted(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(MCConfig, "sample_cells", counted)
+        cfg = MCConfig(alphas=(-1.5, -3.0), looks=(1.0, 2.0), sizes=(9,), trials=2,
+                       estimators=(EstimatorKind.FAST_POLY,))
+        assert len(run_campaign(cfg, parallelism=1).cells) == 8
+        assert len(calls) == 1
 
 
 def _toy_report():

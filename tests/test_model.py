@@ -62,6 +62,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             G0Params(alpha=-2.0, gamma=1.0, looks=0.5)
 
+    @pytest.mark.parametrize("alpha, gamma, scale", [(-1e-300, 1e10, "inf"),
+                                                     (-3.0, 5e-324, "0.0"),
+                                                     (-0.5, sys.float_info.max, "inf")])
+    def test_params_reject_an_f_scale_of_zero_or_inf(self, alpha, gamma, scale):
+        with pytest.raises(ValueError) as err:
+            G0Params(alpha=alpha, gamma=gamma, looks=2.0)
+        assert str(err.value) == (f"alpha {alpha!r} and gamma {gamma!r} give the F scale "
+                                  f"-gamma/alpha {scale}; it must be finite and positive")
+
+    @pytest.mark.parametrize("alpha, gamma", [
+        (-1e-300, 1e-10), (-3.0, 1e-323), (-1.0, sys.float_info.max),
+        (-5e-324, 2e-308), (-1e300, 1e-20),
+        (-sys.float_info.max / 2, sys.float_info.max)])
+    def test_params_accept_every_finite_positive_f_scale(self, alpha, gamma):
+        p = G0Params(alpha=alpha, gamma=gamma, looks=2.0)
+        assert 0.0 < -p.gamma / p.alpha < math.inf
+
     @pytest.mark.parametrize("values, message", [
         ([1.0, math.nan], "sample values must be finite and strictly positive"),
         ([math.nan, 1.0], "sample values must be finite and strictly positive"),

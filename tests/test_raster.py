@@ -3,6 +3,7 @@
 import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -613,6 +614,24 @@ class TestWriteMap:
             b"-16.0,-0.1,0.0,-1.2345678901234567\n")
         assert (tmp_path / "m.pgm").read_bytes() == (
             b"P2\n4 3\n255\n0 255 0 0\n255 128 212 198\n0 253 0 234\n")
+
+    def test_csv_export_holds_one_row_of_text(self, tmp_path):
+        """A 512x512 CSV export writes the bytes of the whole-map formatter it
+        replaced, and traces a peak under 16 B per pixel: the map with zeros
+        for NaN, not every pixel as a Python float."""
+        alpha = -np.random.default_rng(4).exponential(3.0, (512, 512))
+        alpha[::7, ::3] = np.nan
+        m = manual_map(alpha)
+        tracemalloc.start()
+        try:
+            write_map(m, tmp_path / "m.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / alpha.size < 16
+        expected = "".join(",".join(map(repr, row)) + "\n"
+                           for row in np.where(np.isnan(alpha), 0.0, alpha).tolist())
+        assert (tmp_path / "m.csv").read_text() == expected
 
     def test_all_failed_map_is_all_zero(self, tmp_path):
         pixels = np.zeros(25)
