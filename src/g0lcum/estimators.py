@@ -72,11 +72,15 @@ class EtaEstimate:
 class EstimateResult:
     alpha_hat: float | None
     gamma_hat: float | None
-    status: Status
     failure: FailureReason | None
     elapsed_ns: int
     cumulants: LogCumulants | None = None
     eta: EtaEstimate | None = None
+
+    @property
+    def status(self) -> Status:
+        """Ok exactly when there is no failure reason."""
+        return Status.OK if self.failure is None else Status.FAILED
 
 
 def log_moments(logs, usable=None, n=None):
@@ -214,10 +218,10 @@ def invert_eta(eta_value: float, kind: EstimatorKind,
         try:
             root = specfun.trigamma_inverse_bracketed(eta_value)
         except specfun.NoBracketError:
-            # Positive eta escapes the bracket only below trigamma(1e6)
-            # (root deeper than any admissible roughness) or above
-            # trigamma(1e-6) (no refinable bracket on that side).
-            if eta_value < 1.0:
+            # Positive eta escapes the bracket's image only below its low
+            # end (root deeper than any admissible roughness) or above its
+            # high end (no refinable bracket on that side).
+            if eta_value < specfun._BRACKET_ETA_MIN:
                 return None, FailureReason.ROOT_OUT_OF_RANGE
             return None, FailureReason.SOLVER_NO_CONVERGENCE
         except specfun.NoConvergenceError:
@@ -272,7 +276,6 @@ def estimate_alpha(s: Sample, looks: float, model: ModelKind, kind: EstimatorKin
     return EstimateResult(
         alpha_hat=alpha_hat,
         gamma_hat=gamma_hat,
-        status=Status.OK if alpha_hat is not None else Status.FAILED,
         failure=reason,
         elapsed_ns=elapsed,
         cumulants=LogCumulants(k1=k1, k2=k2, n=n),

@@ -102,8 +102,8 @@ def parse_count(value) -> int:
 _HALF_FLOAT_MAX = sys.float_info.max / 2.0
 # Redraw rounds a sample row may take before the sampler gives up on its
 # parameters. Heavy tails need many: alpha -0.001 (gamma 1, looks 2, n 1000)
-# takes 212, its draws 96% unusable. An alpha so near 0 that the F quantile is
-# always inf never gives one; G0Params rejects a scale -gamma/alpha of 0 or inf.
+# takes 212, its draws 96% unusable. An alpha whose every draw is inf fails
+# before any round; G0Params rejects a scale -gamma/alpha of 0 or inf.
 _REDRAW_ROUNDS = 1000
 
 
@@ -215,7 +215,8 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds) -> np.nda
     result is sample_g0(params, model, n, seeds[t]).values. One F quantile
     runs over the whole stack, and one check finds the rows that need a
     redraw; each of those builds its generator again from its seed and
-    redraws from it, for at most _REDRAW_ROUNDS rounds."""
+    redraws from it, for at most _REDRAW_ROUNDS rounds. Parameters whose
+    every draw overflows fail before the first round."""
     n = int(n)
     if n < 1:
         raise ValueError(f"sample size must be positive, got {n!r}")
@@ -235,7 +236,13 @@ def sample_g0_stack(params: G0Params, model: ModelKind, n: int, seeds) -> np.nda
         return ~np.isfinite(z) | (z <= 0.0)
 
     z = draw(u)
-    for t in np.flatnonzero(bad(z).any(axis=1)):
+    redo_rows = np.flatnonzero(bad(z).any(axis=1))
+    # draw is nondecreasing in u: if 2^-53, the smallest nonzero uniform that
+    # Generator.random gives, draws inf, so does every uniform and no row fills.
+    if redo_rows.size and np.isinf(draw(np.array([2.0 ** -53])))[0]:
+        raise ValueError(f"alpha {params.alpha!r}, gamma {params.gamma!r} and looks "
+                         f"{params.looks!r} give no usable draw: every draw overflows")
+    for t in redo_rows:
         rng = np.random.Generator(np.random.Philox(seeds[t]))
         rng.random(out=u[t])  # the same stream, past the n uniforms drawn above
         row, redo = z[t], bad(z[t])

@@ -71,10 +71,8 @@ class RoughnessMap:
     windows by FailureReason value; ``sparse_windows`` counts windows with
     fewer than 4 usable pixels, which were never estimated. ``elapsed_ns``
     times the whole map, ``moments_ns`` and ``estimate_ns`` its two
-    phases."""
+    phases. The map's width and height are those of its alpha grid."""
 
-    width: int
-    height: int
     alpha: np.ndarray
     gamma: np.ndarray
     failures: dict
@@ -82,11 +80,18 @@ class RoughnessMap:
     elapsed_ns: int
     window: int
     estimator: EstimatorKind
-    alpha_floor: float
     model: ModelKind
     looks: float
     moments_ns: int
     estimate_ns: int
+
+    @property
+    def width(self) -> int:
+        return self.alpha.shape[1]
+
+    @property
+    def height(self) -> int:
+        return self.alpha.shape[0]
 
     @property
     def n_failures(self) -> int:
@@ -291,11 +296,9 @@ def roughness_map(r: Raster, window: int, kind: EstimatorKind,
                              alpha[interior], gamma[interior])
     t2 = time.perf_counter_ns()
     elapsed = time.perf_counter_ns() - t0
-    return RoughnessMap(width=r.width, height=r.height, alpha=alpha, gamma=gamma,
-                        failures=count_failures(code),
+    return RoughnessMap(alpha=alpha, gamma=gamma, failures=count_failures(code),
                         sparse_windows=int(np.count_nonzero(moments[0] < 4)),
-                        elapsed_ns=elapsed,
-                        window=int(window), estimator=kind, alpha_floor=ALPHA_FLOOR,
+                        elapsed_ns=elapsed, window=int(window), estimator=kind,
                         model=r.model, looks=r.looks,
                         moments_ns=t1 - t0, estimate_ns=t2 - t1)
 
@@ -310,18 +313,18 @@ def write_map(m: RoughnessMap, path) -> str:
     written: PGM for a path ending in .pgm in any letter case, else CSV.
     The sidecar's JSON is built first, so a value JSON cannot hold fails
     before either file is opened. CSV export writes zeros where estimation
-    failed or no full window fit; PGM rescales [alpha_floor, 0] onto the
+    failed or no full window fit; PGM rescales [ALPHA_FLOOR, 0] onto the
     8-bit range for visualization."""
     meta = json.dumps({"n_failures": m.n_failures, "failures": m.failures,
                        "sparse_windows": m.sparse_windows, "elapsed_ns": m.elapsed_ns,
                        "window": m.window, "estimator": m.estimator.value,
                        "version": __version__, "model": m.model.value, "looks": m.looks,
-                       "alpha_floor": m.alpha_floor, "moments_ns": m.moments_ns,
+                       "alpha_floor": ALPHA_FLOOR, "moments_ns": m.moments_ns,
                        "estimate_ns": m.estimate_ns})
     with open(path, "w") as fh:
         if str(path).lower().endswith(".pgm"):
             fmt, sep, cell = "pgm", " ", str
-            scaled = (1.0 - m.alpha / m.alpha_floor) * 255.0
+            scaled = (1.0 - m.alpha / ALPHA_FLOOR) * 255.0
             scaled = np.where(np.isnan(m.alpha), 0.0, np.clip(scaled, 0.0, 255.0))
             rows = np.rint(scaled).astype(int)
             fh.write(f"P2\n{m.width} {m.height}\n255\n")

@@ -20,9 +20,6 @@ class NoConvergenceError(Exception):
     """Bracketed refinement hit its iteration cap without meeting tolerance."""
 
 
-# Euler-Mascheroni constant, the digamma oracle's -psi(1).
-_EULER_MASCHERONI = 0.5772156649015329
-
 # Asymptotic tail coefficients: Bernoulli numbers B_2..B_14.
 _B2K = (
     1.0 / 6.0,
@@ -97,7 +94,7 @@ def trigamma_series_oracle(x: float) -> float:
 
 def digamma_series_oracle(x: float) -> float:
     """Independent check value for digamma from the series
-    psi(x) = -tau + sum_k (1/(k+1) - 1/(k+x)), Euler-Maclaurin tail."""
+    psi(x) = -euler_gamma + sum_k (1/(k+1) - 1/(k+x)), Euler-Maclaurin tail."""
     x = _check_positive(x, "x")
     k_terms = 256
     head = math.fsum(1.0 / (k + 1.0) - 1.0 / (k + x) for k in range(k_terms))
@@ -106,16 +103,7 @@ def digamma_series_oracle(x: float) -> float:
     tail = (math.log(b / a) + 0.5 * (1.0 / a - 1.0 / b)
             - (1.0 / (b * b) - 1.0 / (a * a)) / 12.0
             + (6.0 / (b ** 4) - 6.0 / (a ** 4)) / 720.0)
-    return -_EULER_MASCHERONI + head + tail
-
-
-def euler_mascheroni_oracle() -> float:
-    """The Euler-Mascheroni constant from harmonic partial sums with an
-    Euler-Maclaurin correction; independent of the stored constant."""
-    k = 100
-    harmonic = math.fsum(1.0 / j for j in range(1, k + 1))
-    return (harmonic - math.log(k) - 0.5 / k + 1.0 / (12.0 * k * k)
-            - 1.0 / (120.0 * k ** 4) + 1.0 / (252.0 * k ** 6))
+    return -np.euler_gamma + head + tail
 
 
 # Bracket for the traditional trigamma inversion, its image under trigamma,

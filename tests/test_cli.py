@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import g0lcum
-from g0lcum import cli, harness, model, raster
+from g0lcum import cli, harness, model, raster, specfun
 from g0lcum.cli import main
 from g0lcum.estimators import EstimatorKind, estimate_alpha
 from g0lcum.model import ModelKind, read_sample_csv
@@ -488,18 +488,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("alpha, gamma", [("-1e-30", "1")])
     def test_parameters_with_no_usable_draw_fail_at_once(self, tmp_path, capsys,
-                                                         alpha, gamma):
-        """An alpha so near 0 that every F quantile overflows redraws a bounded
-        number of rounds, then fails naming the parameters."""
+                                                         monkeypatch, alpha, gamma):
+        """An alpha so near 0 that every F quantile overflows fails before any
+        redraw round, whatever n, naming the parameters: two F quantile calls,
+        the stack's and the overflow probe's."""
+        real, calls = specfun.f_quantile, []
+        monkeypatch.setattr(specfun, "f_quantile",
+                            lambda u, d1, d2: calls.append(np.shape(u)) or real(u, d1, d2))
         out = tmp_path / "s.csv"
         with fail_after(10, f"sample at alpha {alpha}, gamma {gamma}"):
             code = run_cli("sample", "--alpha", alpha, "--gamma", gamma, "--looks", "2",
-                           "--model", "intensity", "--n", "3", "--seed", "1",
+                           "--model", "intensity", "--n", "5000", "--seed", "1",
                            "--out", str(out))
         assert code == 1
         assert capsys.readouterr().err == (
             f"g0lcum: error: alpha {float(alpha)!r}, gamma {float(gamma)!r} and looks 2.0 "
-            f"give no usable draw in {model._REDRAW_ROUNDS} redraw rounds\n")
+            "give no usable draw: every draw overflows\n")
+        assert calls == [(1, 5000), (1,)]
         assert not out.exists()
 
     @pytest.mark.parametrize("alpha, gamma, scale", [("-1e-300", "1e10", "inf"),

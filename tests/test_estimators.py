@@ -4,6 +4,7 @@ failure taxonomy, and the end-to-end roughness/scale estimation."""
 
 import math
 import statistics
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import pytest
 from g0lcum import specfun
 from g0lcum.estimators import (
     FAILURE_CODES,
+    EstimateResult,
     EstimatorKind,
     EtaEstimate,
     FailureReason,
@@ -392,6 +394,17 @@ class TestEstimateGamma:
 
 
 class TestEstimateAlpha:
+    def test_status_follows_the_failure(self):
+        """A result's status is read from its failure reason, so a result
+        rebuilt with a failure reads Failed."""
+        s = sample_g0(G0Params(-3.0, 2.0, 4.0), I, 1000, seed=40)
+        res = estimate_alpha(s, 4.0, I, EstimatorKind.FAST_POLY)
+        assert res.status is Status.OK
+        failed = replace(res, alpha_hat=None, gamma_hat=None,
+                         failure=FailureReason.NEGATIVE_ETA)
+        assert failed.status is Status.FAILED
+        assert "status" not in {f.name for f in fields(EstimateResult)}
+
     def test_statistical_round_trip(self):
         p = G0Params(-3.0, unit_mean_gamma(-3.0), 4.0)
         s = sample_g0(p, I, 20_000, seed=40)

@@ -344,8 +344,9 @@ class TestSampleStack:
         clean = sample_g0_stack(p, I, 9, STACK_SEEDS)
         calls = self.force(monkeypatch, forced, bad)
         stack = sample_g0_stack(p, I, 9, STACK_SEEDS)
-        # One call over the stack, then one per row that redraws.
-        assert calls == [(len(STACK_SEEDS), 9), (2,), (2,)]
+        # One call over the stack, the overflow probe, then one per row that
+        # redraws.
+        assert calls == [(len(STACK_SEEDS), 9), (1,), (2,), (2,)]
         for t, seed in enumerate(STACK_SEEDS):
             self.force(monkeypatch, {0: forced[t]} if t in forced else {}, bad)
             one = sample_g0(p, I, 9, seed).values
@@ -362,19 +363,23 @@ class TestSampleStack:
         bounded."""
         calls = self.force(monkeypatch, {}, 0.0)  # forces nothing; counts the calls
         values = sample_g0(G0Params(alpha, 1.0, 2.0), I, 1000, 1).values
-        assert len(calls) - 1 == rounds < model._REDRAW_ROUNDS
+        # The stack's call and the overflow probe's come before the rounds.
+        assert calls[:2] == [(1, 1000), (1,)]
+        assert len(calls) - 2 == rounds < model._REDRAW_ROUNDS
         assert hashlib.sha256(values.astype("<f8").tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("usable_after, fails", [(3, False), (4, True)])
     def test_redraw_rounds_are_bounded(self, monkeypatch, usable_after, fails):
         """A row whose draws stay unusable for _REDRAW_ROUNDS redraw rounds
-        fails naming the parameters; one usable in the last round does not."""
+        fails naming the parameters; one usable in the last round does not.
+        The overflow probe, the one call on a single value, draws as usual."""
         monkeypatch.setattr(model, "_REDRAW_ROUNDS", 3)
         real, calls = specfun.f_quantile, []
 
         def patched(u, d1, d2):
             calls.append(np.shape(u))
-            return real(u, d1, d2) if len(calls) > usable_after else np.full(np.shape(u), np.inf)
+            usable = np.shape(u) == (1,) or len(calls) > usable_after + 1
+            return real(u, d1, d2) if usable else np.full(np.shape(u), np.inf)
 
         monkeypatch.setattr(specfun, "f_quantile", patched)
         p = G0Params(-3.0, 2.0, 2.0)
@@ -384,7 +389,22 @@ class TestSampleStack:
                 sample_g0(p, I, 9, 1)
         else:
             assert len(sample_g0(p, I, 9, 1)) == 9
-        assert calls == [(1, 9)] + [(9,)] * 3
+        assert calls == [(1, 9), (1,)] + [(9,)] * 3
+
+    def test_every_draw_overflowing_fails_before_any_round(self, monkeypatch):
+        """Parameters whose smallest nonzero uniform already draws inf fail
+        after the stack's call and the probe's, naming the parameters; alpha
+        -1e-10, whose probe draw is finite, still takes its redraw rounds."""
+        calls = self.force(monkeypatch, {}, 0.0)  # forces nothing; counts the calls
+        with pytest.raises(ValueError, match=r"^alpha -1e-30, gamma 1\.0 and looks 2\.0 "
+                                             r"give no usable draw: every draw overflows$"):
+            sample_g0_stack(G0Params(-1e-30, 1.0, 2.0), I, 5000, STACK_SEEDS)
+        assert calls == [(len(STACK_SEEDS), 5000), (1,)]
+        calls.clear()
+        monkeypatch.setattr(model, "_REDRAW_ROUNDS", 2)
+        with pytest.raises(ValueError, match=r"in 2 redraw rounds$"):
+            sample_g0(G0Params(-1e-10, 1.0, 2.0), I, 50, 1)
+        assert calls == [(1, 50), (1,), (50,), (50,)]
 
     def test_overflow_in_the_draw_is_redrawn_silently(self):
         """scale * F overflows to inf for a huge gamma; that draw is redrawn

@@ -4,6 +4,7 @@ import json
 import re
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -554,19 +555,27 @@ class TestMapKernel:
                                                             whole.sparse_windows)
 
 
-def manual_map(alpha_rows, window=3, floor=-15.0, failures=None,
-               sparse=0, looks=2.0) -> RoughnessMap:
+def manual_map(alpha_rows, window=3, failures=None, sparse=0, looks=2.0) -> RoughnessMap:
     alpha = np.array(alpha_rows, dtype=float)
     counts = {r.value: 0 for r in FailureReason}
     counts.update(failures or {})
-    return RoughnessMap(width=alpha.shape[1], height=alpha.shape[0], alpha=alpha,
-                        gamma=np.where(np.isnan(alpha), np.nan, 1.0),
+    return RoughnessMap(alpha=alpha, gamma=np.where(np.isnan(alpha), np.nan, 1.0),
                         failures=counts, sparse_windows=sparse, elapsed_ns=3,
-                        window=window, estimator=TRAD, alpha_floor=floor,
-                        model=I, looks=looks, moments_ns=1, estimate_ns=1)
+                        window=window, estimator=TRAD, model=I, looks=looks,
+                        moments_ns=1, estimate_ns=1)
 
 
 class TestWriteMap:
+    def test_size_is_the_alpha_grids(self, tmp_path):
+        """A map's width and height are read from its alpha grid, so its PGM
+        header always matches the pixels that follow."""
+        m = manual_map(np.full((3, 4), -2.0))
+        assert (m.width, m.height) == (4, 3)
+        write_map(m, tmp_path / "m.pgm")
+        back = read_raster(tmp_path / "m.pgm", "pgm", I, 1.0)
+        assert (back.width, back.height) == (4, 3)
+        assert not {"width", "height", "alpha_floor"} & {f.name for f in fields(RoughnessMap)}
+
     def test_csv_zeros_for_absent_and_meta_sidecar(self, tmp_path):
         m = manual_map([[np.nan, -2.5], [np.nan, np.nan]],
                        failures={"NegativeEta": 1}, sparse=2)

@@ -89,9 +89,6 @@ class TestPolygamma:
             assert abs(trigamma(x) - tref) <= 1e-12 * abs(tref)
             assert abs(psi(x) - dref) <= 1e-12 * max(1.0, abs(dref))
 
-    def test_euler_mascheroni_oracle(self):
-        assert specfun.euler_mascheroni_oracle() == pytest.approx(np.euler_gamma, abs=1e-14)
-
     def test_ln_gamma(self):
         assert ln_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-15)
         assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
